@@ -886,9 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
              "default) or naive (re-derive everything each stage)")
     query_cmd.add_argument(
         "--intern", action=argparse.BooleanOptionalAction, default=False,
-        help="evaluate over the interned columnar kernel (dense value "
-             "ids + indexed joins); --no-intern (default) keeps the "
-             "object engines")
+        help="evaluate over the interned kernel (dense value ids, each "
+             "relation interned on first read, + indexed joins); "
+             "--no-intern (default) keeps the object engines")
     query_cmd.add_argument("--trace", action="store_true",
                            help="print the trace tree to stderr")
     query_cmd.add_argument("--stats", action="store_true",
@@ -918,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixpoint evaluation strategy (as for the query command)")
     profile_cmd.add_argument(
         "--intern", action=argparse.BooleanOptionalAction, default=False,
-        help="evaluate over the interned columnar kernel "
+        help="evaluate over the interned kernel "
              "(as for the query command)")
     profile_cmd.add_argument("--json", action="store_true",
                              help="emit the trace document as JSON on stdout "

@@ -32,27 +32,31 @@ Two evaluation strategies are offered (``Evaluator(strategy=...)``):
   :class:`PFPDivergenceError` period/stage all match the naive strategy.
 
 Orthogonally to the strategy, ``Evaluator(intern=True)`` evaluates over
-the interned kernel: the instance's values are interned once into a
-:class:`repro.objects.intern.ValueStore` and every environment binds
-dense integer ids instead of nested objects, so equality, membership
-and relation probes compare machine ints.  Interning is a bijection on
-the values in play, hence every truth value, stage sequence, stat
-counter and divergence outcome is identical to the object evaluator's;
-answers are decoded back to values at the API boundary.  The naive
-object engines therefore stay the differential oracle for the interned
-path too.
+the interned kernel: each evaluation starts from an empty
+:class:`repro.objects.intern.ValueStore`, every environment binds dense
+integer ids instead of nested objects, and an instance relation is
+interned the first time a relation atom reads it
+(:class:`repro.objects.intern.InternedInstance`), so equality,
+membership and relation probes compare machine ints.  Ids are assigned
+in first-read order, not the Definition 4.2 order, and are compared only
+by equality, membership and member-set inclusion.  Interning is a
+bijection on the values in play, hence every truth value, stage
+sequence, stat counter and divergence outcome is identical to the object
+evaluator's; answers are decoded back to values at the API boundary.
+The naive object engines therefore stay the differential oracle for the
+interned path too.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from ..obs import NullTracer, Tracer, get_tracer
 from ..obs.metrics import value_node_count
 from ..objects.domains import DomainTooLarge, domain_cardinality, materialize_domain
 from ..objects.instance import Instance
-from ..objects.intern import ValueStore
+from ..objects.intern import InternedInstance
 from ..objects.schema import DatabaseSchema
 from ..objects.types import Type
 from ..objects.values import Atom, CSet, CTuple, Value
@@ -118,25 +122,33 @@ def active_atoms(inst: Instance, query_constants: Iterable[Value] = ()) -> tuple
 
 
 class _DomainCache:
-    """Materialised ``dom(T, D)`` per type, guarded by a size cap."""
+    """Materialised ``dom(T, D)`` per type, guarded by a size cap.
 
-    def __init__(self, atoms: tuple[Atom, ...], max_domain: int,
+    ``D`` comes from ``active`` on the first :meth:`domain` call:
+    range-restricted evaluation gives every variable a range and never
+    makes one, so it never pays for the atom scan."""
+
+    def __init__(self, active: Callable[[], tuple[Atom, ...]],
+                 max_domain: int,
                  tracer: Tracer | NullTracer | None = None):
-        self.atoms = atoms
+        self._active = active
+        self._atoms: tuple[Atom, ...] | None = None
         self.max_domain = max_domain
         self.tracer = tracer if tracer is not None else get_tracer()
         self._cache: dict[Type, list[Value]] = {}
 
     def domain(self, typ: Type) -> list[Value]:
         if typ not in self._cache:
-            cardinality = domain_cardinality(typ, len(self.atoms))
+            if self._atoms is None:
+                self._atoms = self._active()
+            cardinality = domain_cardinality(typ, len(self._atoms))
             if cardinality > self.max_domain:
                 raise DomainTooLarge(
                     f"active-domain evaluation needs |dom({typ!r})| = "
                     f"{cardinality} values (cap {self.max_domain}); use "
                     "range-restricted evaluation or raise max_domain_size"
                 )
-            self._cache[typ] = materialize_domain(typ, self.atoms, None)
+            self._cache[typ] = materialize_domain(typ, self._atoms, None)
             if self.tracer.enabled:
                 self.tracer.event("domain", type=repr(typ),
                                   cardinality=len(self._cache[typ]))
@@ -181,7 +193,7 @@ class _Context:
     def __init__(
         self,
         instance: Instance,
-        atoms: tuple[Atom, ...],
+        active: Callable[[], tuple[Atom, ...]],
         max_domain: int,
         max_product: int,
         variable_ranges: Mapping[str, Collection[Value]] | None,
@@ -189,11 +201,11 @@ class _Context:
         tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
         max_memo: int = DEFAULT_MAX_MEMO,
-        store: ValueStore | None = None,
+        interned: InternedInstance | None = None,
     ):
         self.instance = instance
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.domains = _DomainCache(atoms, max_domain, self.tracer)
+        self.domains = _DomainCache(active, max_domain, self.tracer)
         self.max_product = max_product
         self.variable_ranges = dict(variable_ranges or {})
         self.fixpoint_ranges = {
@@ -217,12 +229,13 @@ class _Context:
         self.memo_enabled = strategy == "seminaive"
         self.max_memo = max_memo
         self.satisfy_memo: dict[tuple, bool] = {}
-        #: Interned kernel: when set, every env binds dense ids from this
-        #: store and `candidates`/relation probes go through the encoded
-        #: caches below.  ``None`` selects the plain object path.
-        self.store = store
+        #: Interned kernel: when set, every env binds dense ids from its
+        #: store, `candidates` go through the encoded cache below and
+        #: relation probes read its rows.  ``None`` selects the plain
+        #: object path.
+        self.interned = interned
+        self.store = interned.store if interned is not None else None
         self._encoded_domains: dict[tuple, list[int]] = {}
-        self._instance_rows: dict[str, frozenset[tuple[int, ...]]] = {}
         #: Per-formula (free variables, referenced relations), computed once.
         #: Keyed by ``id(formula)``: AST nodes are immutable and outlive
         #: the context, and structural hashing of a subtree on every
@@ -257,18 +270,6 @@ class _Context:
             cached = [self.store.intern(value) for value in source]
             self._encoded_domains[key] = cached
         return cached
-
-    def instance_rows(self, name: str) -> frozenset[tuple[int, ...]]:
-        """Id-encoded rows of an instance relation (interned contexts)."""
-        rows = self._instance_rows.get(name)
-        if rows is None:
-            assert self.store is not None
-            rows = frozenset(
-                self.store.intern_row(row.items)
-                for row in self.instance.relation(name).tuples
-            )
-            self._instance_rows[name] = rows
-        return rows
 
 
 class Evaluator:
@@ -392,14 +393,14 @@ class Evaluator:
     # -- machinery ---------------------------------------------------------
 
     def _context(self, formula: Formula, inst: Instance) -> _Context:
-        atoms = active_atoms(inst, constants_of(formula))
         fixpoint_ranges: dict[str, dict[str, Collection[Value]]] = {}
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        store = ValueStore.from_instance(inst) if self.intern else None
         return _Context(
-            inst, atoms, self.max_domain_size, self.max_product,
+            inst, lambda: active_atoms(inst, constants_of(formula)),
+            self.max_domain_size, self.max_product,
             self.variable_ranges, fixpoint_ranges, tracer,
-            strategy=self.strategy, store=store,
+            strategy=self.strategy,
+            interned=InternedInstance(inst) if self.intern else None,
         )
 
     def _finish(self, ctx: _Context) -> None:
@@ -536,8 +537,8 @@ class Evaluator:
             row = tuple(self._eval_term(a, env, ctx) for a in formula.args)
             if formula.name in ctx.rel_env:
                 return row in ctx.rel_env[formula.name]
-            if ctx.store is not None:
-                return row in ctx.instance_rows(formula.name)
+            if ctx.interned is not None:
+                return row in ctx.interned.rows(formula.name)
             return CTuple(row) in ctx.instance.relation(formula.name).tuples
         if isinstance(formula, FixpointPred):
             stats["atom_checks"] += 1

@@ -34,9 +34,13 @@ Inflationary evaluation supports two strategies:
   with negation.
 
 Orthogonally to the strategy, ``intern=True`` runs the same plans over
-the **interned columnar kernel**: the instance is interned once into a
-:class:`repro.objects.intern.ValueStore` (rows become tuples of dense
-ids, EDB relations ``array('q')``-backed column tables), and positive
+the **interned kernel**: each evaluation starts from an empty
+:class:`repro.objects.intern.ValueStore`, rows become tuples of dense
+ids, and an EDB relation is interned the first time a rule literal reads
+it (:class:`repro.objects.intern.InternedInstance`), so relations the
+program never reads are never interned.  Ids are assigned in that
+first-read order, not the Definition 4.2 order, and the engine compares
+them only by equality, membership and member-set inclusion.  Positive
 literals probe :class:`repro.core.fixpoint.IndexPool` hash indexes keyed
 on their bound positions instead of scanning.  EDB indexes persist for
 the whole evaluation; IDB/delta views get a fresh pool per stage (their
@@ -64,7 +68,7 @@ from ..core.fixpoint import (
 )
 from ..obs import get_tracer
 from ..objects.instance import Instance
-from ..objects.intern import ValueStore, intern_instance
+from ..objects.intern import InternedInstance, ValueStore
 from ..objects.values import CSet, Value
 from .syntax import (
     BuiltinLiteral,
@@ -210,16 +214,14 @@ class _Database:
 
 
 class _InternedEngine:
-    """Per-evaluation interned state: the :class:`ValueStore`, the
-    columnar EDB, and the persistent EDB index pool."""
+    """Per-evaluation interned state: the EDB interned on first read
+    (with its :class:`ValueStore`) and the persistent EDB index pool."""
 
     def __init__(self, program: Program, inst: Instance, tracer):
         self.program = program
-        self.inst = inst
+        self.edb = InternedInstance(inst)
+        self.store = self.edb.store
         self.tracer = tracer
-        self.store, tables = intern_instance(inst)
-        self.edb_rows = {name: table.to_frozenset()
-                         for name, table in tables.items()}
         self.edb_pool = IndexPool(tracer)
 
     def database(self, idb: Mapping[str, frozenset[Row]],
@@ -264,11 +266,8 @@ class _InternedDatabase:
         if predicate in self.program.idb_types:
             return predicate, self.idb.get(predicate, frozenset()), \
                 self.stage_pool
-        rows = self.engine.edb_rows.get(predicate)
-        if rows is None:
-            self.engine.inst.relation(predicate)  # raises the usual error
-            raise AssertionError("unreachable")
-        return predicate, rows, self.engine.edb_pool
+        return predicate, self.engine.edb.rows(predicate), \
+            self.engine.edb_pool
 
     def rows(self, predicate: str) -> frozenset[Row]:
         _, rows, _ = self._source(predicate)
@@ -545,9 +544,9 @@ def evaluate_inflationary(
     the first stage; ``strategy="naive"`` re-fires every rule against
     the full IDB each stage.  Both produce identical results and stage
     counts (see the module docstring for why the rewriting is exact).
-    ``intern=True`` runs the chosen strategy over the interned columnar
-    kernel with indexed joins; the answer (and every counter except the
-    index telemetry) is identical.
+    ``intern=True`` runs the chosen strategy over the interned kernel
+    with indexed joins; the answer (and every counter except the index
+    and interning telemetry) is identical.
     """
     _check_strategy(strategy)
     tracer = get_tracer()

@@ -79,8 +79,8 @@ from .io import (
     value_to_json,
 )
 from .intern import (
-    ColumnTable,
     InternError,
+    InternedInstance,
     ValueStore,
     intern_instance,
     type_depth,
@@ -123,7 +123,7 @@ __all__ = [
     "instance_to_json", "load_instance", "schema_from_json",
     "schema_to_json", "value_from_json", "value_to_json",
     # intern
-    "ColumnTable", "InternError", "ValueStore", "intern_instance",
+    "InternError", "InternedInstance", "ValueStore", "intern_instance",
     "type_depth",
     # encoding
     "EncodingError", "atom_bits", "decode_instance", "decode_value",

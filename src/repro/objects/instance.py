@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .schema import DatabaseSchema, RelationSchema, SchemaError
-from .values import Atom, CTuple, Value, make_value
+from .values import Atom, CTuple, Value, atoms_of, make_value
 
 
 class InstanceError(Exception):
@@ -55,10 +55,7 @@ class Relation:
 
     def atoms(self) -> frozenset[Atom]:
         """Atomic constants occurring in any tuple."""
-        result: frozenset[Atom] = frozenset()
-        for row in self.tuples:
-            result |= row.atoms()
-        return result
+        return atoms_of(self.tuples)
 
     def contains(self, row: object) -> bool:
         return _coerce_row(self.schema, row) in self.tuples
@@ -160,10 +157,8 @@ class Instance:
 
     def atoms(self) -> frozenset[Atom]:
         """``atom(I)``: atomic constants occurring anywhere in the instance."""
-        result: frozenset[Atom] = frozenset()
-        for rel in self._relations.values():
-            result |= rel.atoms()
-        return result
+        return atoms_of(row for rel in self._relations.values()
+                        for row in rel.tuples)
 
     def with_relation(self, name: str, tuples: Iterable[object]) -> "Instance":
         """Return a new instance with relation ``name`` replaced."""

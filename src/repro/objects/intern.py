@@ -6,11 +6,17 @@ every probe.  A :class:`ValueStore` replaces each distinct value by a
 dense integer id assigned at construction via structural hashing: two
 values receive the same id iff they are structurally equal, so relation
 rows become tuples of machine ints and joins compare ids instead of
-trees.  :class:`ColumnTable` packs such id-rows into ``array('q')``
-columns — the columnar EDB representation the indexed semi-naive engine
-(``datalog/engine.py``) probes.
+trees.
 
-Id assignment by :meth:`ValueStore.from_instance` is deterministic and
+The engines (``datalog/engine.py``, ``core/evaluation.py``) start every
+evaluation from an empty store wrapped in an :class:`InternedInstance`,
+which interns a relation's rows the first time the evaluation reads
+that relation.  Their ids are therefore assigned in first-read order,
+not in the order below, and evaluation compares ids only by equality,
+membership and member-set inclusion — never by ``<``.
+
+Id assignment by :meth:`ValueStore.from_instance` (and by
+:func:`intern_instance`, which builds on it) is deterministic and
 order-aware.  Values are collected under their *declared* column types
 (inference would reject heterogeneous-but-conformant sets), grouped by
 type, and the groups are processed in ascending type depth — a proper
@@ -35,8 +41,7 @@ the same id for every value — ids are stable names within an instance.
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .instance import Instance
 from .ordering import AtomOrder, sort_key
@@ -46,7 +51,7 @@ from .values import Atom, CSet, CTuple, Value
 __all__ = [
     "InternError",
     "ValueStore",
-    "ColumnTable",
+    "InternedInstance",
     "intern_instance",
     "type_depth",
 ]
@@ -255,65 +260,46 @@ def _collect_typed(value: Value, typ: Type,
             _collect_typed(element, typ.element, groups)
 
 
-class ColumnTable:
-    """Interned rows stored column-major in ``array('q')`` buffers.
+class InternedInstance:
+    """An instance seen through one evaluation's :class:`ValueStore`.
 
-    The columnar layout keeps each relation's ids in contiguous machine
-    ints; ``rows()`` re-zips them on demand and ``to_frozenset`` is the
-    set-of-rows view the fixpoint protocols union over.
+    The store starts empty (unless one is passed in) and each relation's
+    rows are interned the first time :meth:`rows` reads them, so an
+    evaluation interns only the values of the relations it touches —
+    by Theorem 5.1 all a range-restricted query needs.
     """
 
-    __slots__ = ("columns", "_length")
+    __slots__ = ("instance", "store", "_rows")
 
-    def __init__(self, rows: Iterable[tuple[int, ...]], arity: int | None = None):
-        materialized = [tuple(row) for row in rows]
-        if arity is None:
-            arity = len(materialized[0]) if materialized else 0
-        columns = tuple(array("q") for _ in range(arity))
-        for row in materialized:
-            if len(row) != arity:
-                raise InternError(
-                    f"row {row!r} does not match table arity {arity}")
-            for column, vid in zip(columns, row):
-                column.append(vid)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_length", len(materialized))
+    def __init__(self, inst: Instance, store: ValueStore | None = None):
+        self.instance = inst
+        self.store = ValueStore() if store is None else store
+        self._rows: dict[str, frozenset[tuple[int, ...]]] = {}
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ColumnTable is immutable")
-
-    @property
-    def arity(self) -> int:
-        return len(self.columns)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(column[i] for column in self.columns)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for i in range(self._length):
-            yield tuple(column[i] for column in self.columns)
-
-    def to_frozenset(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self)
+    def rows(self, name: str) -> frozenset[tuple[int, ...]]:
+        """Id rows of relation ``name``, interned on first read (an
+        unknown name raises the instance's usual error)."""
+        rows = self._rows.get(name)
+        if rows is None:
+            intern_row = self.store.intern_row
+            rows = frozenset(intern_row(row.items)
+                             for row in self.instance.relation(name).tuples)
+            self._rows[name] = rows
+        return rows
 
 
 def intern_instance(
     inst: Instance,
     order: AtomOrder | None = None,
     store: ValueStore | None = None,
-) -> tuple[ValueStore, Mapping[str, ColumnTable]]:
-    """Intern ``inst`` into ``(store, {relation name: ColumnTable})``.
+) -> tuple[ValueStore, Mapping[str, frozenset[tuple[int, ...]]]]:
+    """Intern all of ``inst`` into ``(store, {relation name: id rows})``.
 
-    Table rows are sorted by id-tuple, so the columnar buffers (not just
-    the id assignment) are reproducible across re-parses.
+    ``store`` defaults to :meth:`ValueStore.from_instance`, so ids follow
+    the Definition 4.2 order.  The engines do not call this: they intern
+    each relation on first read through :class:`InternedInstance`.
     """
-    if store is None:
-        store = ValueStore.from_instance(inst, order)
-    tables = {}
-    for rel in inst.relations():
-        id_rows = sorted(store.intern_row(row.items) for row in rel.tuples)
-        tables[rel.name] = ColumnTable(id_rows, arity=rel.schema.arity)
-    return store, tables
+    interned = InternedInstance(
+        inst, ValueStore.from_instance(inst, order) if store is None else store)
+    return interned.store, {rel.name: interned.rows(rel.name)
+                            for rel in inst.relations()}

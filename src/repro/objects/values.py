@@ -142,10 +142,7 @@ class CTuple(Value):
         return self.items[i - 1]
 
     def atoms(self) -> frozenset[Atom]:
-        result: frozenset[Atom] = frozenset()
-        for item in self.items:
-            result |= item.atoms()
-        return result
+        return atoms_of(self.items)
 
     def infer_type(self) -> Type:
         return TupleType(item.infer_type() for item in self.items)
@@ -202,10 +199,7 @@ class CSet(Value):
         raise AttributeError("CSet is immutable")
 
     def atoms(self) -> frozenset[Atom]:
-        result: frozenset[Atom] = frozenset()
-        for element in self.elements:
-            result |= element.atoms()
-        return result
+        return atoms_of(self.elements)
 
     def infer_type(self) -> Type:
         if not self.elements:
@@ -267,6 +261,26 @@ class CSet(Value):
     def __str__(self) -> str:
         inner = ", ".join(sorted(str(e) for e in self.elements))
         return "{" + inner + "}"
+
+
+def atoms_of(values: Iterable[Value]) -> frozenset[Atom]:
+    """``atom(O1) ∪ ... ∪ atom(On)``, collected into one set in one pass.
+
+    Unioning per-value frozensets instead (``result |= v.atoms()``)
+    copies the accumulated set once per value, which is quadratic over
+    a large relation.
+    """
+    found: set[Atom] = set()
+    pending = list(values)
+    while pending:
+        value = pending.pop()
+        if isinstance(value, Atom):
+            found.add(value)
+        elif isinstance(value, CTuple):
+            pending.extend(value.items)
+        elif isinstance(value, CSet):
+            pending.extend(value.elements)
+    return frozenset(found)
 
 
 def atom(label: AtomLabel) -> Atom:

@@ -1,6 +1,6 @@
 """The interning layer: round-trip, injectivity, order compatibility.
 
-Three properties pin :mod:`repro.objects.intern`:
+Four properties pin :mod:`repro.objects.intern`:
 
 * intern → unintern is the identity over random nested values;
 * interning is injective — equal ids iff structurally equal values —
@@ -8,7 +8,9 @@ Three properties pin :mod:`repro.objects.intern`:
 * on a fixed instance, :meth:`ValueStore.from_instance` assigns ids
   compatible with the induced order ``<_T`` of Definition 4.2 within
   each declared-type group (atoms get exactly their AtomOrder ranks),
-  and the assignment is stable across JSON re-parses.
+  and the assignment is stable across JSON re-parses;
+* the engines intern a relation only when an evaluation first reads
+  it, so a relation no query literal reads gets no ids.
 """
 
 import json
@@ -18,13 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from .conftest import small_types, values_of_type
+from repro.core.safety import evaluate_range_restricted
+from repro.datalog import Literal, Program, Rule, evaluate_inflationary
 from repro.objects import (
     Atom,
     AtomOrder,
-    ColumnTable,
     CSet,
     CTuple,
     InternError,
+    InternedInstance,
+    SchemaError,
     ValueStore,
     database_schema,
     instance,
@@ -35,6 +40,8 @@ from repro.objects import (
     parse_type,
     type_depth,
 )
+from repro.obs import Tracer, use_tracer
+from repro.workloads import chain_graph, transitive_closure_query
 
 
 def nested_values():
@@ -178,27 +185,13 @@ class TestOrderCompatibility:
         assert type_depth(parse_type("{[U,{{U}}]}")) == 5
 
 
-class TestColumnTable:
-    def test_round_trip_and_layout(self):
-        store, tables = intern_instance(NESTED_INSTANCE)
-        table = tables["P"]
-        assert isinstance(table, ColumnTable)
-        assert table.arity == 3
-        assert len(table) == 3
-        decoded = {store.unintern_row(row) for row in table}
+class TestInternInstance:
+    def test_round_trip(self):
+        store, rows = intern_instance(NESTED_INSTANCE)
+        assert set(rows) == {"P"}
+        decoded = {store.unintern_row(row) for row in rows["P"]}
         assert decoded == {tuple(row.items)
                            for row in NESTED_INSTANCE.relation("P")}
-        assert table.to_frozenset() == {table.row(i)
-                                        for i in range(len(table))}
-
-    def test_rows_sorted_for_determinism(self):
-        _, tables = intern_instance(NESTED_INSTANCE)
-        rows = list(tables["P"])
-        assert rows == sorted(rows)
-
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(InternError):
-            ColumnTable([(1, 2), (3,)])
 
     def test_heterogeneous_conformant_sets_intern(self):
         """Declared-type collection must not trip over sets whose
@@ -211,3 +204,54 @@ class TestColumnTable:
         store, _ = intern_instance(inst)
         assert store.value(store.intern(CSet([empty, nested]))) \
             == CSet([empty, nested])
+
+
+def chain_with_unread_relation(n: int = 8):
+    """A chain ``G`` on ``n`` nodes plus a relation ``H`` of 10 atoms
+    that occur nowhere else and that TC over ``G`` never reads."""
+    schema = database_schema(G=["U", "U"], H=["U"])
+    return instance(
+        schema,
+        G=[tuple(row.items) for row in chain_graph(n).relation("G")],
+        H=[(f"h{i}",) for i in range(10)],
+    )
+
+
+class TestFirstReadInterning:
+    """The engines intern a relation when the evaluation first reads it,
+    so values of relations a question never reads get no id."""
+
+    def test_relations_intern_on_first_read(self):
+        interned = InternedInstance(chain_with_unread_relation())
+        assert len(interned.store) == 0
+        rows = interned.rows("G")
+        assert len(rows) == 7 and len(interned.store) == 8
+        assert interned.rows("G") is rows
+        interned.rows("H")
+        assert len(interned.store) == 18
+        with pytest.raises(SchemaError):
+            interned.rows("missing")
+
+    @staticmethod
+    def _interned_values(run) -> int:
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run()
+        return tracer.counters["space.interned_values"]
+
+    def test_datalog_interns_only_read_relations(self):
+        program = Program(
+            [Rule(Literal("T", ["x", "y"]), [Literal("G", ["x", "y"])]),
+             Rule(Literal("T", ["x", "y"]),
+                  [Literal("T", ["x", "z"]), Literal("G", ["z", "y"])])],
+            idb_types={"T": ["U", "U"]},
+        )
+        inst = chain_with_unread_relation()
+        assert self._interned_values(
+            lambda: evaluate_inflationary(program, inst, intern=True)) == 8
+
+    def test_calculus_interns_only_read_relations(self):
+        inst = chain_with_unread_relation()
+        assert self._interned_values(
+            lambda: evaluate_range_restricted(
+                transitive_closure_query("U"), inst, intern=True)) == 8
