@@ -478,30 +478,6 @@ def _run_nest_routes(n: int, strategy: str) -> dict[str, Any]:
     return {"checksum": _decoded_checksum(canonical)}
 
 
-def _run_intern_kernel(n: int, strategy: str) -> dict[str, Any]:
-    """PR 8's tentpole gate: Datalog TC on chains through three engines —
-    the naive object engine (the differential oracle), the object
-    semi-naive engine, and the interned kernel (``interned`` =
-    semi-naive over dense ids with hash-index joins).  All three derive
-    the same closure; the interned run additionally reports
-    ``eval.index_builds``/``eval.index_probes`` (exactly one probe per
-    derived closure row on a chain) and ``space.interned_values`` (the
-    store holds the n atoms and nothing else)."""
-    from ..datalog import evaluate_inflationary
-    from ..workloads import chain_graph
-
-    result = evaluate_inflationary(
-        _tc_program(), chain_graph(n),
-        strategy="seminaive" if strategy == "interned" else strategy,
-        intern=strategy == "interned")
-    rows = len(result["T"])
-    if rows != _chain_closure_rows(n):
-        raise AssertionError(
-            f"{strategy} TC on chain({n}) produced {rows} rows, "
-            f"expected {_chain_closure_rows(n)}")
-    return {"checksum": _decoded_checksum(result["T"])}
-
-
 def _run_algebra_fixpoint(n: int, strategy: str) -> dict[str, Any]:
     """E20 (ex ``bench_algebra_vs_fixpoint.py``): the conclusion's first
     bullet — fixpoints are tractable recursion, the powerset operator is
@@ -960,13 +936,6 @@ def _run_induced_order(n: int, strategy: str) -> dict[str, Any]:
     return {"checksum": count}
 
 
-def _sc_lane(strategy: str) -> tuple[str, bool]:
-    """Map a bench strategy label onto (engine strategy, intern flag)."""
-    if strategy == "interned":
-        return "seminaive", True
-    return strategy, False
-
-
 def _run_supply_chain_build(n: int, strategy: str) -> dict[str, Any]:
     """Generate the supply-chain instance at scale ``n`` and hold it to
     the documented row formulas (ISSUE 10 / ROADMAP item 4).  The
@@ -991,16 +960,14 @@ def _run_supply_chain_build(n: int, strategy: str) -> dict[str, Any]:
 
 def _run_supply_chain_bom(n: int, strategy: str) -> dict[str, Any]:
     """The headline YELLOW fixpoint — full BOM ancestor closure — raced
-    across the three engine lanes.  The ternary-tree blocks make the
+    across the two engine lanes.  The ternary-tree blocks make the
     closure exactly ``102 * n`` rows at a pinned stage count, so both
     are asserted per point, not just regress-gated."""
     from ..workloads import (answer_question, bom_closure_rows,
                              question_by_name, supply_chain_instance)
 
-    engine, intern = _sc_lane(strategy)
     answer = answer_question(question_by_name("bom-closure"),
-                             supply_chain_instance(n),
-                             strategy=engine, intern=intern)
+                             supply_chain_instance(n), strategy=strategy)
     if len(answer.rows) != bom_closure_rows(n):
         raise AssertionError(
             f"{strategy} BOM closure at scale {n} produced "
@@ -1011,18 +978,16 @@ def _run_supply_chain_bom(n: int, strategy: str) -> dict[str, Any]:
 def _run_supply_chain_questions(n: int, strategy: str) -> dict[str, Any]:
     """The whole golden inventory (~30 GREEN/YELLOW/RED questions) under
     one lane; the checksum rolls up every per-question answer checksum,
-    so the three lanes agreeing here means they agree on every answer."""
+    so the two lanes agreeing here means they agree on every answer."""
     from ..obs import get_tracer, rows_checksum
     from ..workloads import QUESTIONS, answer_question, supply_chain_instance
 
-    engine, intern = _sc_lane(strategy)
     inst = supply_chain_instance(n)
     tracer = get_tracer()
     rollup = []
     total_rows = 0
     for question in QUESTIONS:
-        answer = answer_question(question, inst,
-                                 strategy=engine, intern=intern)
+        answer = answer_question(question, inst, strategy=strategy)
         rollup.append((question.name, answer.checksum))
         total_rows += len(answer.rows)
     tracer.count("sc.questions", len(rollup))
@@ -1032,16 +997,16 @@ def _run_supply_chain_questions(n: int, strategy: str) -> dict[str, Any]:
 
 def _run_supply_chain_scale(n: int, strategy: str) -> dict[str, Any]:
     """The acceptance point: 100K+ rows generated and the headline BOM
-    fixpoint answered inside the bench timeout (interned lane only —
-    the object engines are measured at smaller scales by
-    ``supply-chain-bom``).  The interned engine interns only ``BOM``,
+    fixpoint answered inside the bench timeout (semi-naive lane only —
+    the naive oracle is measured at smaller scales by
+    ``supply-chain-bom``).  The semi-naive engine interns only ``BOM``,
     the one relation the question reads, so the point costs generation
     plus a closure over ``BOM``'s values, not an interning pass over
     all 10 relations' 106,240 rows."""
     from ..obs import get_tracer
 
     result = _run_supply_chain_build(n, strategy)
-    bom = _run_supply_chain_bom(n, "interned")
+    bom = _run_supply_chain_bom(n, strategy)
     get_tracer().gauge("sc.bom_checksum", bom["checksum"])
     return result
 
@@ -1056,7 +1021,8 @@ def _register(suite: Suite) -> Suite:
 
 _register(Suite(
     name="seminaive-smoke",
-    title="Datalog TC on chains: naive vs semi-naive (the PR 3 gate)",
+    title="Datalog TC on chains: naive oracle vs the semi-naive engine "
+          "over interned ids",
     sizes=(8, 16, 32, 64),
     strategies=("naive", "seminaive"),
     run=_run_datalog_tc,
@@ -1064,8 +1030,16 @@ _register(Suite(
         Expectation(metric="datalog.rows_derived", kind="poly",
                     strategy="seminaive", max_degree=2.5,
                     note="semi-naive derives each closure row once-ish"),
+        Expectation(metric="eval.index_probes", kind="poly",
+                    strategy="seminaive", max_degree=2.5,
+                    note="one probe per derived closure row: Theta(n^2) "
+                         "on a chain, never the n^3-ish scan product"),
+        Expectation(metric="space.interned_values", kind="bound",
+                    strategy="seminaive", bound_degree=1,
+                    bound_coefficient=2.0,
+                    note="the store holds the n atoms and nothing else"),
     ),
-    gates=(SpeedupGate(slow="naive", fast="seminaive", min_ratio=2.0),),
+    gates=(SpeedupGate(slow="naive", fast="seminaive", min_ratio=5.0),),
     tolerances=(
         Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
         Tolerance(metric="ifp.stages", max_ratio=0.0),
@@ -1396,36 +1370,6 @@ _register(Suite(
 
 
 _register(Suite(
-    name="intern-kernel",
-    title="PR 8: interned columnar kernel vs the object engines "
-          "(Datalog TC)",
-    sizes=(16, 32, 64),
-    strategies=("naive", "seminaive", "interned"),
-    run=_run_intern_kernel,
-    expectations=(
-        Expectation(metric="eval.index_probes", kind="poly",
-                    strategy="interned", max_degree=2.5,
-                    note="one probe per derived closure row: Theta(n^2) "
-                         "on a chain, never the n^3-ish scan product"),
-        Expectation(metric="space.interned_values", kind="bound",
-                    strategy="interned", bound_degree=1,
-                    bound_coefficient=2.0,
-                    note="the store holds the n atoms and nothing else"),
-    ),
-    gates=(
-        SpeedupGate(slow="naive", fast="interned", min_ratio=5.0),
-        SpeedupGate(slow="naive", fast="seminaive", min_ratio=2.0),
-    ),
-    tolerances=(
-        Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
-        Tolerance(metric="eval.index_probes", max_ratio=0.0),
-        Tolerance(metric="space.interned_values", max_ratio=0.0),
-    ),
-    agree=True,  # all three engines must return the same closure
-))
-
-_register(Suite(
     name="algebra-fixpoint",
     title="E20: TC via powerset algebra vs IFP vs native loop",
     sizes=(3, 4, 5),
@@ -1596,31 +1540,29 @@ _register(Suite(
 
 _register(Suite(
     name="supply-chain-bom",
-    title="ISSUE 10: BOM ancestor closure across the three engine lanes",
+    title="BOM ancestor closure: the naive oracle vs the semi-naive "
+          "engine",
     sizes=(4, 8, 16),
-    strategies=("naive", "seminaive", "interned"),
+    strategies=("naive", "seminaive"),
     run=_run_supply_chain_bom,
     expectations=(
         Expectation(metric="datalog.rows_derived", kind="poly",
-                    strategy="interned", max_degree=1.5,
+                    strategy="seminaive", max_degree=1.5,
                     note="closure is exactly 102*scale rows: linear, "
                          "never quadratic (depth-3 ternary blocks)"),
         Expectation(metric="space.interned_values", kind="bound",
-                    strategy="interned", bound_degree=1,
+                    strategy="seminaive", bound_degree=1,
                     bound_coefficient=40.0,
                     note="bom-closure reads only BOM, so only its "
                          "40*scale parts get ids, not the whole "
                          "10-relation instance"),
     ),
-    gates=(
-        SpeedupGate(slow="naive", fast="interned", min_ratio=3.0),
-        SpeedupGate(slow="naive", fast="seminaive", min_ratio=1.2),
-    ),
+    gates=(SpeedupGate(slow="naive", fast="seminaive", min_ratio=3.0),),
     tolerances=(
         Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
         Tolerance(metric="ifp.stages", max_ratio=0.0),
     ),
-    agree=True,  # the three lanes must return the same closure
+    agree=True,  # both lanes must return the same closure
 ))
 
 _register(Suite(
@@ -1628,7 +1570,7 @@ _register(Suite(
     title="ISSUE 10: the golden question inventory, every lane answering "
           "every question",
     sizes=(1, 2),
-    strategies=("naive", "seminaive", "interned"),
+    strategies=("naive", "seminaive"),
     run=_run_supply_chain_questions,
     tolerances=(
         Tolerance(metric="sc.questions", max_ratio=0.0),
@@ -1641,9 +1583,9 @@ _register(Suite(
 _register(Suite(
     name="supply-chain-scale",
     title="ISSUE 10: 100K+ rows generated and the headline BOM fixpoint "
-          "answered under the interned kernel",
+          "answered by the semi-naive engine",
     sizes=(256,),
-    strategies=("interned",),
+    strategies=("seminaive",),
     run=_run_supply_chain_scale,
     tolerances=(
         Tolerance(metric="sc.rows", max_ratio=0.0),

@@ -39,6 +39,7 @@ platform offers it.
 
 from __future__ import annotations
 
+import importlib
 import time
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
@@ -54,6 +55,12 @@ __all__ = ["PointTask", "run_sharded", "run_tasks", "strip_timing"]
 
 #: One unit of work: (suite name, size, strategy, tracemalloc, memory).
 PointTask = tuple[str, int, str, bool, bool]
+
+#: Packages the registry's ``run`` callables import lazily that the CLI
+#: has not already loaded.  :func:`run_tasks` imports them before its
+#: first fork, so a forked worker never pays a first import inside its
+#: timed point.
+_RUN_IMPORTS = ("repro.algebra", "repro.machines")
 
 #: Extra seconds granted on top of the timeout for points that pay
 #: process start-up and cold-import costs: the first point of a run
@@ -184,6 +191,8 @@ def run_tasks(
 
     if not tasks:
         return []
+    for name in _RUN_IMPORTS:
+        importlib.import_module(name)
     context = _mp_context()
     grace_every_point = context.get_start_method() != "fork"
     results: list[dict[str, Any] | None] = [None] * len(tasks)

@@ -67,7 +67,7 @@ from .core.fixpoint import PFPDivergenceError
 from .core.parser import ParseError, parse_query
 from .core.range_restriction import RangeComputationError, analyze_query
 from .core.safety import evaluate_range_restricted
-from .core.evaluation import evaluate
+from .core.evaluation import STRATEGIES, evaluate
 from .core.typecheck import TypeCheckError, check_query
 from .datalog.parser import (
     DatalogParseError,
@@ -239,16 +239,15 @@ def _run_query(args: argparse.Namespace, tracer) -> tuple[frozenset, str]:
     with tracer.span("parse_query"):
         query = parse_query(args.query)
     strategy = getattr(args, "strategy", "seminaive")
-    intern = getattr(args, "intern", False)
     _record(query_hash=query_hash(args.query),
             instance_checksum=instance_checksum(inst),
-            strategy=strategy, intern=intern)
+            strategy=strategy)
     if args.mode == "active":
         return (evaluate(query, inst, max_domain_size=args.max_domain,
-                         strategy=strategy, intern=intern), "active")
+                         strategy=strategy), "active")
     try:
-        return (evaluate_range_restricted(query, inst, strategy=strategy,
-                                          intern=intern).answer, "rr")
+        return (evaluate_range_restricted(query, inst,
+                                          strategy=strategy).answer, "rr")
     except RangeComputationError as error:
         # Only the RR-analysis rejection triggers the fallback; genuine
         # engine failures propagate instead of masquerading as "not RR".
@@ -259,7 +258,7 @@ def _run_query(args: argparse.Namespace, tracer) -> tuple[frozenset, str]:
               f"({error}); falling back to active-domain semantics",
               file=sys.stderr)
         return (evaluate(query, inst, max_domain_size=args.max_domain,
-                         strategy=strategy, intern=intern), "active")
+                         strategy=strategy), "active")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -881,14 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument("--max-domain", type=int, default=1_000_000,
                            help="cap on materialised domains (active mode)")
     query_cmd.add_argument(
-        "--strategy", choices=("naive", "seminaive"), default="seminaive",
-        help="fixpoint evaluation strategy: seminaive (delta-driven, "
-             "default) or naive (re-derive everything each stage)")
-    query_cmd.add_argument(
-        "--intern", action=argparse.BooleanOptionalAction, default=False,
-        help="evaluate over the interned kernel (dense value ids, each "
-             "relation interned on first read, + indexed joins); "
-             "--no-intern (default) keeps the object engines")
+        "--strategy", choices=STRATEGIES, default="seminaive",
+        help="evaluation engine: seminaive (default) is the production "
+             "engine, delta-driven over interned value ids with indexed "
+             "joins; naive is the reference oracle, re-deriving "
+             "everything each stage over nested values")
     query_cmd.add_argument("--trace", action="store_true",
                            help="print the trace tree to stderr")
     query_cmd.add_argument("--stats", action="store_true",
@@ -914,12 +910,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--max-domain", type=int, default=1_000_000,
                              help="cap on materialised domains (active mode)")
     profile_cmd.add_argument(
-        "--strategy", choices=("naive", "seminaive"), default="seminaive",
-        help="fixpoint evaluation strategy (as for the query command)")
-    profile_cmd.add_argument(
-        "--intern", action=argparse.BooleanOptionalAction, default=False,
-        help="evaluate over the interned kernel "
-             "(as for the query command)")
+        "--strategy", choices=STRATEGIES, default="seminaive",
+        help="evaluation engine (as for the query command)")
     profile_cmd.add_argument("--json", action="store_true",
                              help="emit the trace document as JSON on stdout "
                                   "(alias for --format json)")

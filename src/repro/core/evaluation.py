@@ -17,34 +17,29 @@ The evaluator handles IFP and PFP per Definition 3.1 (see
 :mod:`repro.core.fixpoint`), including fixpoints used as *terms* and
 fixpoints with outer parameters (Example 5.3's range-restricted nest).
 
-Two evaluation strategies are offered (``Evaluator(strategy=...)``):
+Two evaluation strategies are offered (``Evaluator(strategy=...)``), and
+the strategy alone picks the engine:
 
-* ``"naive"`` — every fixpoint stage re-enumerates the full column
-  product and re-checks every candidate row; every subformula is
-  re-evaluated from scratch.  This is the reference oracle the
-  differential tests compare against.
-* ``"seminaive"`` (default) — delta-driven: inflationary stages skip
-  candidate rows already in the fixpoint (their membership is settled —
-  the union keeps them regardless), and ``_satisfy`` memoizes subformula
-  results whose free variables are bound and whose referenced fixpoint
-  relations are unchanged between stages.  Both refinements preserve the
-  Definition 3.1 semantics exactly — stage sequences, answers, and
-  :class:`PFPDivergenceError` period/stage all match the naive strategy.
+* ``"naive"`` — over nested objects, every fixpoint stage re-enumerates
+  the full column product and re-checks every candidate row; every
+  subformula is re-evaluated from scratch.  This is Definition 3.1 read
+  literally, the oracle the differential tests compare against.
+* ``"seminaive"`` (default) — the production engine, delta-driven over
+  interned ids: inflationary stages skip candidate rows already in the
+  fixpoint (the union keeps them regardless), and ``_satisfy`` memoizes
+  subformula results whose free variables are bound and whose
+  referenced fixpoint relations are unchanged between stages.  Each
+  evaluation starts from an empty :class:`repro.objects.intern.ValueStore`;
+  environments bind dense ids, and an instance relation is interned the
+  first time a relation atom reads it
+  (:class:`repro.objects.intern.InternedInstance`).  Ids follow
+  first-read order, not the Definition 4.2 order, and are compared only
+  by equality, membership and member-set inclusion.
 
-Orthogonally to the strategy, ``Evaluator(intern=True)`` evaluates over
-the interned kernel: each evaluation starts from an empty
-:class:`repro.objects.intern.ValueStore`, every environment binds dense
-integer ids instead of nested objects, and an instance relation is
-interned the first time a relation atom reads it
-(:class:`repro.objects.intern.InternedInstance`), so equality,
-membership and relation probes compare machine ints.  Ids are assigned
-in first-read order, not the Definition 4.2 order, and are compared only
-by equality, membership and member-set inclusion.  Interning is a
-bijection on the values in play, hence every truth value, stage
-sequence, stat counter and divergence outcome is identical to the object
-evaluator's; answers are decoded back to values at the API boundary.
-The naive object engines therefore stay the differential oracle for the
-interned path too.
+Interning is a bijection on the values in play and both refinements
+preserve Definition 3.1 exactly, so answers (decoded at the API
+boundary), stage sequences, stat counters and
+:class:`PFPDivergenceError` period/stage all match the naive strategy.
 """
 
 from __future__ import annotations
@@ -104,8 +99,18 @@ DEFAULT_MAX_PRODUCT = 20_000_000
 #: Cap on memoized subformula results per evaluation (bounds memory).
 DEFAULT_MAX_MEMO = 250_000
 
-#: Recognised evaluation strategies.
+#: Recognised evaluation strategies: the object oracle and the interned
+#: production engine (shared by :mod:`repro.datalog.engine`).
 STRATEGIES = ("naive", "seminaive")
+
+
+def check_strategy(strategy: str) -> None:
+    """Reject a strategy name outside :data:`STRATEGIES`."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown evaluation strategy {strategy!r}; "
+            f"expected one of {STRATEGIES}"
+        )
 
 
 class EvalError(Exception):
@@ -201,7 +206,6 @@ class _Context:
         tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
         max_memo: int = DEFAULT_MAX_MEMO,
-        interned: InternedInstance | None = None,
     ):
         self.instance = instance
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -229,12 +233,13 @@ class _Context:
         self.memo_enabled = strategy == "seminaive"
         self.max_memo = max_memo
         self.satisfy_memo: dict[tuple, bool] = {}
-        #: Interned kernel: when set, every env binds dense ids from its
-        #: store, `candidates` go through the encoded cache below and
-        #: relation probes read its rows.  ``None`` selects the plain
-        #: object path.
-        self.interned = interned
-        self.store = interned.store if interned is not None else None
+        #: Interned kernel (seminaive strategy only): every env binds
+        #: dense ids from its store, `candidates` go through the encoded
+        #: cache below and relation probes read its rows.  ``None`` (the
+        #: naive oracle) selects the object path.
+        self.interned = (InternedInstance(instance)
+                         if strategy == "seminaive" else None)
+        self.store = None if self.interned is None else self.interned.store
         self._encoded_domains: dict[tuple, list[int]] = {}
         #: Per-formula (free variables, referenced relations), computed once.
         #: Keyed by ``id(formula)``: AST nodes are immutable and outlive
@@ -282,11 +287,9 @@ class Evaluator:
         max_fixpoint_stages: guard on fixpoint iteration counts.
         variable_ranges: optional restricted-domain ranges, variable name
             to a collection of candidate values (restricted semantics).
-        strategy: ``"seminaive"`` (delta-driven, the default) or
-            ``"naive"`` (the reference oracle; see the module docstring).
-        intern: evaluate over dense value ids from a per-evaluation
-            :class:`ValueStore` instead of nested objects (orthogonal to
-            ``strategy``; answers and counters are identical).
+        strategy: ``"seminaive"`` (the default: delta-driven over
+            interned ids) or ``"naive"`` (the object-level reference
+            oracle); see the module docstring.
     """
 
     def __init__(
@@ -298,20 +301,14 @@ class Evaluator:
         variable_ranges: Mapping[str, Collection[Value]] | None = None,
         tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
-        intern: bool = False,
     ):
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown evaluation strategy {strategy!r}; "
-                f"expected one of {STRATEGIES}"
-            )
+        check_strategy(strategy)
         self.schema = schema
         self.max_domain_size = max_domain_size
         self.max_product = max_product
         self.max_fixpoint_stages = max_fixpoint_stages
         self.variable_ranges = variable_ranges
         self.strategy = strategy
-        self.intern = intern
         #: Explicit tracer; None resolves the active one per evaluation,
         #: so ``with use_tracer(...)`` works without rebuilding Evaluators.
         self.tracer = tracer
@@ -400,7 +397,6 @@ class Evaluator:
             self.max_domain_size, self.max_product,
             self.variable_ranges, fixpoint_ranges, tracer,
             strategy=self.strategy,
-            interned=InternedInstance(inst) if self.intern else None,
         )
 
     def _finish(self, ctx: _Context) -> None:

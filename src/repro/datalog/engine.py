@@ -18,48 +18,48 @@ rule is *unsafe* and :class:`DatalogError` is raised: this is the
 deductive counterpart of range restriction, and it keeps evaluation
 polynomial per stage.
 
-Inflationary evaluation supports two strategies:
+The strategy alone picks the engine:
 
-* ``strategy="naive"`` — every stage re-fires every rule against the
-  full previous IDB, re-deriving everything derived before (the oracle
-  the differential tests compare against);
-* ``strategy="seminaive"`` (default) — true semi-naive firing: each rule
-  is rewritten into *delta versions*, one per positive IDB body literal,
-  where that literal reads only the rows derived at the previous stage.
-  Because the inflationary IDB only grows, a derivation that is new at
-  stage ``i`` must have some positive IDB literal matching a stage
-  ``i-1`` delta row (negative IDB literals can only flip from true to
-  false as the IDB grows, never enable a new derivation), so firing only
-  the delta versions after stage 1 is exact — including for programs
-  with negation.
+* ``strategy="naive"`` — the differential oracle, over nested values:
+  every stage re-fires every rule against the full previous IDB,
+  re-deriving everything derived before;
+* ``strategy="seminaive"`` (default) — the production engine, true
+  semi-naive firing over interned ids.  Each rule is rewritten into
+  *delta versions*, one per positive IDB body literal, where that
+  literal reads only the rows derived at the previous stage.  Because
+  the inflationary IDB only grows, a derivation that is new at stage
+  ``i`` must have some positive IDB literal matching a stage ``i-1``
+  delta row (negative IDB literals can only flip from true to false as
+  the IDB grows, never enable a new derivation), so firing only the
+  delta versions after stage 1 is exact — including for programs with
+  negation.
 
-Orthogonally to the strategy, ``intern=True`` runs the same plans over
-the **interned kernel**: each evaluation starts from an empty
-:class:`repro.objects.intern.ValueStore`, rows become tuples of dense
+The semi-naive engine starts each evaluation from an empty
+:class:`repro.objects.intern.ValueStore`; rows become tuples of dense
 ids, and an EDB relation is interned the first time a rule literal reads
 it (:class:`repro.objects.intern.InternedInstance`), so relations the
-program never reads are never interned.  Ids are assigned in that
-first-read order, not the Definition 4.2 order, and the engine compares
-them only by equality, membership and member-set inclusion.  Positive
-literals probe :class:`repro.core.fixpoint.IndexPool` hash indexes keyed
-on their bound positions instead of scanning.  EDB indexes persist for
-the whole evaluation; IDB/delta views get a fresh pool per stage (their
-rows change).  Because interning is a bijection on the values in play,
-the packed states the generic fixpoint engines see are element-wise
-renamed but structurally identical — stage counts, derivation counters
-and PFP divergence (period, stage) all coincide with the object engines,
-which therefore remain the differential oracle.  Results are uninterned
-at the API boundary.
+program never reads are never interned.  Ids follow that first-read
+order, not the Definition 4.2 order, and are compared only by equality,
+membership and member-set inclusion.  Positive literals probe
+:class:`repro.core.fixpoint.IndexPool` hash indexes keyed on their bound
+positions instead of scanning.  EDB indexes persist for the whole
+evaluation; IDB/delta views get a fresh pool per stage (their rows
+change).  Interning is a bijection on the values in play, so the packed
+states the generic fixpoint engines see are element-wise renamed but
+structurally identical — stage counts, derivation counters and PFP
+divergence (period, stage) all coincide with the naive oracle's.
+Results are uninterned at the API boundary.
 
 Partial (PFP) semantics replaces the IDB wholesale each stage, so no
-derivation can be carried over; ``strategy`` is accepted for interface
-symmetry but both values evaluate identically.
+derivation can be carried over: both strategies fire every rule each
+stage, the semi-naive one over interned ids.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping
 
+from ..core.evaluation import STRATEGIES, check_strategy
 from ..core.fixpoint import (
     IndexPool,
     iterate_ifp,
@@ -90,9 +90,6 @@ __all__ = [
 Row = tuple
 Env = dict[str, Value]
 
-#: Recognised evaluation strategies (mirrors repro.core.evaluation).
-STRATEGIES = ("naive", "seminaive")
-
 #: Prefix marking a delta view of an IDB predicate in rewritten rules.
 #: Rewrites are engine-internal; user predicates never carry the prefix.
 _DELTA = "Δ::"
@@ -100,26 +97,19 @@ _DELTA = "Δ::"
 
 class _Database:
     """Uniform view of EDB relations and the current IDB state, over
-    plain nested values (the differential oracle).
+    plain nested values (the naive oracle).
 
-    ``delta`` (when given) holds the per-predicate rows derived at the
-    previous stage; rewritten rules address it through predicates named
-    ``Δ::P``.  The matching/builtin methods shared with
-    :class:`_InternedDatabase` form the protocol the planner drives.
+    The matching/builtin methods shared with :class:`_InternedDatabase`
+    form the protocol the planner drives.
     """
 
     def __init__(self, inst: Instance, idb: Mapping[str, frozenset[Row]],
-                 program: Program,
-                 delta: Mapping[str, frozenset[Row]] | None = None):
+                 program: Program):
         self.inst = inst
         self.idb = idb
         self.program = program
-        self.delta = delta
 
     def rows(self, predicate: str) -> frozenset[Row]:
-        if predicate.startswith(_DELTA):
-            assert self.delta is not None
-            return self.delta.get(predicate[len(_DELTA):], frozenset())
         if predicate in self.program.idb_types:
             return self.idb.get(predicate, frozenset())
         relation = self.inst.relation(predicate)
@@ -239,8 +229,10 @@ class _InternedEngine:
 
 
 class _InternedDatabase:
-    """The interned twin of :class:`_Database`: rows are tuples of dense
-    ids and positive literals probe hash indexes on bound positions.
+    """The semi-naive engine's view: rows are tuples of dense ids,
+    positive literals probe hash indexes on bound positions, and
+    rewritten rules read ``delta`` (the rows derived at the previous
+    stage) through predicates named ``Δ::P``.
 
     Each stage builds a fresh instance, and with it a fresh index pool
     for the IDB/delta views — that is the per-delta-stage invalidation;
@@ -431,8 +423,8 @@ def _derive(rules, db,
     return {name: frozenset(rows) for name, rows in derived.items()}
 
 
-#: A database factory: ``make_db(idb, delta=None)`` builds the per-stage
-#: database view (object-valued or interned).
+#: A database factory: ``make_db(idb)`` (or ``make_db(idb, delta)`` on
+#: the semi-naive engine) builds the per-stage database view.
 _DbFactory = Callable[..., object]
 
 
@@ -454,14 +446,6 @@ def _delta_rules(program: Program) -> tuple[Rule, ...]:
                                          literal.terms)
                 variants.append(Rule(rule.head, body))
     return tuple(variants)
-
-
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown evaluation strategy {strategy!r}; "
-            f"expected one of {STRATEGIES}"
-        )
 
 
 def _naive_stage(program: Program, make_db: _DbFactory):
@@ -520,40 +504,51 @@ def _unpack(packed: frozenset, program: Program) -> dict[str, frozenset[Row]]:
     return {name: frozenset(rows) for name, rows in result.items()}
 
 
-def _factory(program: Program, inst: Instance, intern: bool,
+def _factory(program: Program, inst: Instance, strategy: str,
              tracer) -> tuple[_DbFactory, _InternedEngine | None]:
-    """The per-stage database factory for the chosen kernel."""
-    if not intern:
-        def make_db(idb, delta=None):
-            return _Database(inst, idb, program, delta)
-
-        return make_db, None
+    """The per-stage database factory for the strategy's engine: nested
+    values for the naive oracle, interned ids for semi-naive."""
+    check_strategy(strategy)
+    if strategy == "naive":
+        return (lambda idb: _Database(inst, idb, program)), None
     engine = _InternedEngine(program, inst, tracer)
     return engine.database, engine
+
+
+def _publish(final: frozenset, program: Program,
+             engine: _InternedEngine | None, tracer, span
+             ) -> dict[str, frozenset[Row]]:
+    """Decode the final packed state and report its sizes."""
+    span.set(rows=len(final))
+    result = _unpack(final, program)
+    if engine is not None:
+        result = engine.unintern_result(result)
+        if tracer.enabled:
+            tracer.gauge("space.interned_values", len(engine.store))
+    if tracer.enabled:
+        for name in sorted(result):
+            tracer.gauge(f"space.idb[{name}]", len(result[name]))
+    return result
 
 
 def evaluate_inflationary(
     program: Program, inst: Instance,
     max_stages: int | None = 100_000,
     strategy: str = "seminaive",
-    intern: bool = False,
 ) -> dict[str, frozenset[Row]]:
     """Inflationary semantics: ``J_i = T(J_{i-1}) ∪ J_{i-1}``.
 
-    ``strategy="seminaive"`` (default) fires delta-rewritten rules after
-    the first stage; ``strategy="naive"`` re-fires every rule against
-    the full IDB each stage.  Both produce identical results and stage
-    counts (see the module docstring for why the rewriting is exact).
-    ``intern=True`` runs the chosen strategy over the interned kernel
-    with indexed joins; the answer (and every counter except the index
-    and interning telemetry) is identical.
+    ``strategy="seminaive"`` (default) fires delta-rewritten rules over
+    interned ids with indexed joins after the first stage;
+    ``strategy="naive"`` re-fires every rule against the full IDB each
+    stage, over nested values.  Both produce identical results, stage
+    counts and derivation counters (see the module docstring).
     """
-    _check_strategy(strategy)
     tracer = get_tracer()
     with tracer.span("datalog.inflationary",
                      idb=sorted(program.idb_types),
-                     strategy=strategy, intern=intern) as span:
-        make_db, engine = _factory(program, inst, intern, tracer)
+                     strategy=strategy) as span:
+        make_db, engine = _factory(program, inst, strategy, tracer)
         if strategy == "seminaive":
             final = iterate_ifp_delta(
                 _seminaive_stage(program, make_db, _delta_rules(program)),
@@ -561,68 +556,45 @@ def evaluate_inflationary(
         else:
             final = iterate_ifp(_naive_stage(program, make_db),
                                 max_stages, tracer)
-        span.set(rows=len(final))
-        result = _unpack(final, program)
-        if engine is not None:
-            result = engine.unintern_result(result)
-            if tracer.enabled:
-                tracer.gauge("space.interned_values", len(engine.store))
-        if tracer.enabled:
-            for name in sorted(result):
-                tracer.gauge(f"space.idb[{name}]", len(result[name]))
-    return result
+        return _publish(final, program, engine, tracer, span)
 
 
 def evaluate_partial(
     program: Program, inst: Instance,
     max_stages: int | None = 100_000,
     strategy: str = "seminaive",
-    intern: bool = False,
 ) -> dict[str, frozenset[Row]]:
     """Partial (non-inflationary) semantics: ``J_i = T(J_{i-1})``.
 
     Raises :class:`repro.core.fixpoint.PFPDivergenceError` on cycles.
-    ``strategy`` is validated for interface symmetry, but the stage
-    *replaces* the IDB, so there is no delta to exploit: both strategies
-    evaluate identically.  ``intern=True`` selects the interned kernel;
-    interning is a bijection on the values in play, so the state
+    The stage *replaces* the IDB, so there is no delta to exploit: both
+    strategies fire every rule each stage, ``"seminaive"`` over interned
+    ids.  Interning is a bijection on the values in play, so the state
     sequence — and hence any divergence period and stage — coincides
-    with the object engine's.
+    with the naive oracle's.
     """
-    _check_strategy(strategy)
     tracer = get_tracer()
     with tracer.span("datalog.partial",
                      idb=sorted(program.idb_types),
-                     strategy=strategy, intern=intern) as span:
-        make_db, engine = _factory(program, inst, intern, tracer)
+                     strategy=strategy) as span:
+        make_db, engine = _factory(program, inst, strategy, tracer)
         final = iterate_pfp(_naive_stage(program, make_db),
                             max_stages, tracer)
-        span.set(rows=len(final))
-        result = _unpack(final, program)
-        if engine is not None:
-            result = engine.unintern_result(result)
-            if tracer.enabled:
-                tracer.gauge("space.interned_values", len(engine.store))
-        if tracer.enabled:
-            for name in sorted(result):
-                tracer.gauge(f"space.idb[{name}]", len(result[name]))
-    return result
+        return _publish(final, program, engine, tracer, span)
 
 
 def inflationary_stages(
     program: Program, inst: Instance,
     strategy: str = "seminaive",
-    intern: bool = False,
 ) -> Iterator[dict[str, frozenset[Row]]]:
     """Yield the successive inflationary stages (for tests/inspection).
 
-    The stage sequence is strategy- and kernel-independent; exposing the
-    parameters lets the differential tests assert exactly that.
+    The stage sequence is strategy-independent; exposing the parameter
+    lets the differential tests assert exactly that.
     """
     from ..core.fixpoint import ifp_delta_stages, ifp_stages
 
-    _check_strategy(strategy)
-    make_db, engine = _factory(program, inst, intern, get_tracer())
+    make_db, engine = _factory(program, inst, strategy, get_tracer())
     if strategy == "seminaive":
         packed_stages = ifp_delta_stages(
             _seminaive_stage(program, make_db, _delta_rules(program)))

@@ -5,7 +5,7 @@ Every ``repro query/profile/bench/lint`` run appends a record to
 ``--no-ledger`` or an empty ``REPRO_LEDGER`` environment variable)
 carrying the run's natural primary key — the query hash and instance
 checksum that ROADMAP item 3's result cache will be keyed by — plus the
-strategy/intern flags, the lint complexity verdict when available, the
+strategy, the lint complexity verdict when available, the
 headline engine counters (``eval.*``, ``space.*``, rows, stages), wall
 seconds, peak RSS, and the outcome (``ok`` / ``error`` / ``timeout`` /
 ``divergence``).  History accumulates across invocations, so
@@ -320,7 +320,7 @@ def diff_records(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     """Field-by-field comparison of two runs: identity fields side by
     side, wall/RSS deltas, and every headline counter's change."""
     scalar_fields = ("command", "outcome", "query_hash", "instance_checksum",
-                     "strategy", "mode", "intern", "verdict", "rows",
+                     "strategy", "mode", "verdict", "rows",
                      "stages")
     fields: dict[str, Any] = {}
     for name in scalar_fields:

@@ -49,8 +49,8 @@ scale-independent stage count.
 questions — textual ``.dl`` Datalog programs and CALC/IFP/PFP queries —
 each tagged with a routing verdict in virt-graph's traffic-light scheme
 (GREEN = nonrecursive/LOGSPACE, YELLOW = linear-recursive/PTIME, RED =
-PFP/PSPACE).  :func:`answer_question` evaluates one question under any
-engine lane (naive / seminaive / interned); committed expected answers
+PFP/PSPACE).  :func:`answer_question` evaluates one question under
+either engine lane (naive / seminaive); committed expected answers
 at pinned ``(seed, scale)`` points live next to this module in
 ``supply_chain_golden.json`` (:func:`load_golden`/:func:`write_golden`).
 """
@@ -546,8 +546,7 @@ def _parse_datalog(question: Question):
 
 
 def answer_question(question: Question, inst: Instance,
-                    strategy: str = "seminaive",
-                    intern: bool = False) -> QuestionAnswer:
+                    strategy: str = "seminaive") -> QuestionAnswer:
     """Evaluate one inventory question under one engine lane.
 
     Datalog questions run through :func:`evaluate_inflationary`; CALC
@@ -567,15 +566,14 @@ def answer_question(question: Question, inst: Instance,
             from ..datalog import evaluate_inflationary
 
             program, query = _parse_datalog(question)
-            result = evaluate_inflationary(program, inst,
-                                           strategy=strategy, intern=intern)
+            result = evaluate_inflationary(program, inst, strategy=strategy)
             rows = frozenset(tuple(row) for row in result[query.predicate])
         elif question.kind == "calc":
             from ..core.safety import evaluate_range_restricted
 
             assert question.build is not None
             report = evaluate_range_restricted(
-                question.build(), inst, strategy=strategy, intern=intern)
+                question.build(), inst, strategy=strategy)
             rows = frozenset(tuple(row.items) for row in report.answer)
         else:  # pragma: no cover - inventory invariant
             raise ValueError(f"unknown question kind {question.kind!r}")

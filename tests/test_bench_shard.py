@@ -393,3 +393,33 @@ class TestPlumbing:
         expectations = stripped["suites"]["s"]["expectations"]
         assert "fit" not in expectations[0]
         assert expectations[1]["ok"] is True
+
+    def test_scheduler_preloads_every_lazy_run_import(self):
+        """Every package a registry ``run`` callable imports lazily is
+        loaded in the scheduler before it forks — by the CLI or by
+        ``_RUN_IMPORTS`` — so no sharded point times a first import.
+        Checked in a fresh interpreter: this one has imported it all."""
+        import ast
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.bench import registry
+
+        tree = ast.parse(Path(registry.__file__).read_text())
+        lazy = sorted({
+            "repro." + node.module
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.ImportFrom) and node.level == 2})
+        assert "repro.algebra" in lazy
+        code = ("import importlib, sys\n"
+                "import repro.cli\n"
+                "from repro.bench.shard import _RUN_IMPORTS\n"
+                "for name in _RUN_IMPORTS:\n"
+                "    importlib.import_module(name)\n"
+                f"print([m for m in {lazy!r} if m not in sys.modules])\n")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

@@ -60,6 +60,14 @@ class TestQueryCommand:
         path.write_text("{not json")
         assert main(["query", str(path), SAFE]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["query", "profile"])
+    def test_removed_intern_flag_is_an_error(self, graph_file, command,
+                                            capsys):
+        """Only ``--strategy`` selects an engine; ``--intern`` is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, graph_file, SAFE, "--intern"])
+        assert excinfo.value.code == EXIT_ERROR
+
 
 class TestAnalyzeCommand:
     def test_rr_query_ok(self, graph_file, capsys):

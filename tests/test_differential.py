@@ -1,19 +1,19 @@
-"""Differential tests: naive vs semi-naive vs interned, indistinguishable.
+"""Differential tests: the naive oracle vs the production engine.
 
-The delta-driven strategy (PR 3's tentpole) and the interned columnar
-kernel (PR 8's tentpole) are only optimisations — on every query they
-must produce the same answer, the same stage count and the same
-divergence behaviour as the naive re-derive-everything object engine.
-This suite checks that on:
+The production engine — delta-driven semi-naive evaluation over
+interned ids with indexed joins — is only an optimisation: on every
+query it must produce the same answer, the same stage count and the
+same divergence behaviour as the naive re-derive-everything object
+engine.  This suite checks that on:
 
 * every canonical workload query over its worked instances,
 * randomly generated CALC+IFP and CALC+PFP queries (hypothesis),
 * randomly generated safe inf-Datalog programs (hypothesis),
 
-including the *failure* channel: a PFP query that diverges must raise
-``PFPDivergenceError`` with the identical period and stage under all
-three lanes.  The naive object engine is the oracle; the interned
-engine (``intern=True``) is the candidate.
+including the *failure* channel: a PFP query or program that diverges
+must raise ``PFPDivergenceError`` with the identical period and stage
+under both lanes.  ``strategy="naive"`` is the oracle;
+``strategy="seminaive"`` (the default) is the candidate.
 
 Fast versions run in tier-1; ``-m slow`` runs the deeper sweeps
 (hundreds of extra examples).
@@ -33,7 +33,11 @@ from tests.conftest import (
 )
 from repro.core.evaluation import evaluate
 from repro.core.fixpoint import PFPDivergenceError
-from repro.datalog import evaluate_inflationary, inflationary_stages
+from repro.datalog import (
+    evaluate_inflationary,
+    evaluate_partial,
+    inflationary_stages,
+)
 from repro.obs import Tracer, use_tracer
 from repro.workloads import (
     bipartite_graph,
@@ -54,14 +58,13 @@ DEEP = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-def _calc_outcome(query, inst, strategy, intern=False):
-    """Evaluate under a fresh tracer; normalise success and divergence
-    into one comparable value, alongside the total fixpoint stage count."""
+def _outcome(run):
+    """Run under a fresh tracer; normalise success and divergence into
+    one comparable value, alongside the total fixpoint stage count."""
     tracer = Tracer()
     with use_tracer(tracer):
         try:
-            outcome = ("ok", evaluate(query, inst, strategy=strategy,
-                                      intern=intern))
+            outcome = ("ok", run())
         except PFPDivergenceError as error:
             outcome = ("diverged", error.period, error.stage)
     stages = (tracer.counters.get("ifp.stages", 0),
@@ -69,25 +72,27 @@ def _calc_outcome(query, inst, strategy, intern=False):
     return outcome, stages
 
 
+def _calc_outcome(query, inst, strategy):
+    return _outcome(lambda: evaluate(query, inst, strategy=strategy))
+
+
 def assert_calc_strategies_agree(query, inst):
-    naive = _calc_outcome(query, inst, "naive")
-    seminaive = _calc_outcome(query, inst, "seminaive")
-    interned = _calc_outcome(query, inst, "seminaive", intern=True)
-    assert naive == seminaive == interned
+    assert (_calc_outcome(query, inst, "naive")
+            == _calc_outcome(query, inst, "seminaive"))
 
 
 def assert_datalog_strategies_agree(program, inst):
-    naive = list(inflationary_stages(program, inst, strategy="naive"))
-    seminaive = list(inflationary_stages(program, inst,
-                                         strategy="seminaive"))
-    interned = list(inflationary_stages(program, inst,
-                                        strategy="seminaive", intern=True))
     # Identical state *sequences*, not just final results.
-    assert naive == seminaive == interned
+    assert (list(inflationary_stages(program, inst, strategy="naive"))
+            == list(inflationary_stages(program, inst,
+                                        strategy="seminaive")))
     assert (evaluate_inflationary(program, inst, strategy="naive")
-            == evaluate_inflationary(program, inst, strategy="seminaive")
-            == evaluate_inflationary(program, inst, strategy="seminaive",
-                                     intern=True))
+            == evaluate_inflationary(program, inst, strategy="seminaive"))
+    # Partial semantics: the same answer, or the same divergence.
+    assert (_outcome(lambda: evaluate_partial(program, inst,
+                                              strategy="naive"))
+            == _outcome(lambda: evaluate_partial(program, inst,
+                                                 strategy="seminaive")))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +142,7 @@ class TestWorkloadQueries:
         flip = pfp("S", [x], ~rel("S")(x))
         q = query([x], flip(x))
         naive = _calc_outcome(q, inst, "naive")
-        seminaive = _calc_outcome(q, inst, "seminaive")
-        interned = _calc_outcome(q, inst, "seminaive", intern=True)
-        assert naive == seminaive == interned
+        assert naive == _calc_outcome(q, inst, "seminaive")
         assert naive[0][0] == "diverged"
 
 
@@ -195,17 +198,14 @@ class TestRandomDatalog:
 # The flat-graph draws above never exercise set-valued columns.  Here the
 # random differential answers the golden supply-chain inventory — nested
 # membership, BOM fixpoints, PFP — over randomly drawn miniature nested
-# instances, holding all three lanes to identical answers *and* stage
-# counts on every (instance, question) pair.
+# instances, holding both lanes to identical answers *and* stage counts
+# on every (instance, question) pair.
 
 def assert_question_lanes_agree(question, inst):
     from repro.workloads import answer_question
 
-    naive = answer_question(question, inst, strategy="naive")
-    seminaive = answer_question(question, inst, strategy="seminaive")
-    interned = answer_question(question, inst, strategy="seminaive",
-                               intern=True)
-    assert naive == seminaive == interned
+    assert (answer_question(question, inst, strategy="naive")
+            == answer_question(question, inst, strategy="seminaive"))
 
 
 def _inventory_questions():

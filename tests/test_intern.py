@@ -248,10 +248,10 @@ class TestFirstReadInterning:
         )
         inst = chain_with_unread_relation()
         assert self._interned_values(
-            lambda: evaluate_inflationary(program, inst, intern=True)) == 8
+            lambda: evaluate_inflationary(program, inst)) == 8
 
     def test_calculus_interns_only_read_relations(self):
         inst = chain_with_unread_relation()
         assert self._interned_values(
             lambda: evaluate_range_restricted(
-                transitive_closure_query("U"), inst, intern=True)) == 8
+                transitive_closure_query("U"), inst)) == 8

@@ -251,6 +251,7 @@ ifp.stages                  3
 space.answer_nodes          15
 space.domain_nodes          20
 space.domain_values         8
+space.interned_values       11
 space.peak_fixpoint_rows    3
 == metrics ==
 space.domain_cardinality  count=1 min=8 mean=8 p50=8 p90=8 max=8

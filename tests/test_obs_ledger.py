@@ -268,6 +268,17 @@ class TestDiff:
         assert diff["wall_seconds"]["ratio"] == 0.5
         assert diff["rss_peak_bytes"]["delta"] == 500
 
+    def test_records_with_the_retired_intern_flag_still_diff(self, tmp_path):
+        """Records written before ``--intern`` was removed still load and
+        diff; the flag is no longer a compared field."""
+        path = str(tmp_path / "old.jsonl")
+        append_record(_record("old", strategy="seminaive", intern=True), path)
+        append_record(_record("new", strategy="seminaive"), path)
+        old, new = read_ledger(path)
+        diff = diff_records(old, new)
+        assert "intern" not in diff["fields"]
+        assert diff["fields"]["strategy"]["equal"] is True
+
 
 # ---------------------------------------------------------------------------
 # CLI integration: every ledgered command leaves a well-formed record
@@ -301,6 +312,7 @@ class TestCliLedger:
         assert record["query_hash"] == query_hash(SAFE)
         assert record["mode"] == "rr"
         assert record["strategy"] == "seminaive"
+        assert "intern" not in record
         assert record["rows"] == 3
         assert record["stages"] == 3
         assert record["counters"]["ifp.stages"] == 3

@@ -6,7 +6,9 @@ once (O(n) fresh rows per stage, O(n^2) total work), where the naive
 strategy re-derives the whole closure every stage (O(n^3) total).
 These tests pin the exact derivation counts via the obs counters, so a
 regression in the rewrite (e.g. a delta variant reading the full IDB)
-shows up as a count change, not a silent slowdown.
+shows up as a count change, not a silent slowdown.  The semi-naive
+engine runs over interned ids with indexed joins, so its index-probe and
+interned-value counts are pinned here too.
 """
 
 from __future__ import annotations
@@ -32,24 +34,44 @@ def _closure_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _datalog_counters(n: int, strategy: str, intern: bool = False) -> dict:
+def _datalog_counters(n: int, strategy: str = "seminaive") -> dict:
     tracer = Tracer()
     with use_tracer(tracer):
         result = evaluate_inflationary(tc_program(), chain_graph(n),
-                                       strategy=strategy, intern=intern)
+                                       strategy=strategy)
     assert len(result["T"]) == _closure_size(n)
     return dict(tracer.counters)
 
 
 class TestDatalogDerivationCounts:
     def test_seminaive_derives_each_row_exactly_once(self):
-        """chain_graph(64): 2016 closure rows, 2016 derivations, zero
-        duplicate hits — the headline guarantee of the delta rewrite."""
-        counters = _datalog_counters(64, "seminaive")
+        """chain_graph(64) at default arguments: 2016 closure rows, 2016
+        derivations, zero duplicate hits — the headline guarantee of the
+        delta rewrite — and only the 64 chain atoms interned."""
+        counters = _datalog_counters(64)
         assert counters["datalog.rows_derived"] == 2016
         assert counters["datalog.delta_rows"] == 2016
         assert "datalog.dedup_hits" not in counters
         assert counters["datalog.refires_avoided"] > 0
+        assert counters["space.interned_values"] == 64
+
+    def test_index_probes_bounded_by_closure(self):
+        """chain_graph(64): the planner scans Δ::T and probes the
+        (persistent) G index on its bound position, so the recursive
+        rule costs exactly one probe per derived closure row — 2016
+        probes against one index build.  A scanning join would touch
+        ~|G| rows per delta row: 63 * 2016 = 127,008 row visits."""
+        counters = _datalog_counters(64)
+        assert counters["eval.index_builds"] == 1
+        assert counters["eval.index_probes"] == _closure_size(64) == 2016
+
+    def test_probe_count_scales_with_closure_not_product(self):
+        small = _datalog_counters(16)
+        large = _datalog_counters(32)
+        assert small["eval.index_probes"] == _closure_size(16)
+        assert large["eval.index_probes"] == _closure_size(32)
+        assert small["space.interned_values"] == 16
+        assert large["space.interned_values"] == 32
 
     def test_naive_rederives_quadratically(self):
         """The naive strategy re-fires settled rows every stage: on a
@@ -70,45 +92,6 @@ class TestDatalogDerivationCounts:
         large = _datalog_counters(16, "seminaive")
         assert (large["datalog.refires_avoided"]
                 > small["datalog.refires_avoided"])
-
-
-class TestInternedDerivationCounts:
-    """PR 8's indexed kernel: same derivation discipline as the object
-    semi-naive engine, but each join resolves by hash-index probe."""
-
-    def test_interned_derives_each_row_exactly_once(self):
-        counters = _datalog_counters(64, "seminaive", intern=True)
-        assert counters["datalog.rows_derived"] == 2016
-        assert counters["datalog.delta_rows"] == 2016
-        assert "datalog.dedup_hits" not in counters
-
-    def test_index_probes_bounded_by_closure(self):
-        """chain_graph(64): the planner scans Δ::T and probes the
-        (persistent) G index on its bound position, so the recursive
-        rule costs exactly one probe per derived closure row — 2016
-        probes against one index build.  A scanning join would touch
-        ~|G| rows per delta row: 63 * 2016 = 127,008 row visits."""
-        counters = _datalog_counters(64, "seminaive", intern=True)
-        closure = _closure_size(64)
-        assert counters["eval.index_builds"] >= 1
-        assert counters["eval.index_probes"] == closure
-        assert counters["eval.index_probes"] < 63 * closure
-
-    def test_interned_matches_object_engine_counters(self):
-        """Derivation/stage counters are a bijection-invariant of the
-        run: identical between object and interned engines."""
-        plain = _datalog_counters(16, "seminaive")
-        interned = _datalog_counters(16, "seminaive", intern=True)
-        for key in ("datalog.rows_derived", "datalog.delta_rows",
-                    "datalog.refires_avoided", "ifp.stages"):
-            assert plain[key] == interned[key], key
-        assert interned["space.interned_values"] == 16
-
-    def test_probe_count_scales_with_closure_not_product(self):
-        small = _datalog_counters(16, "seminaive", intern=True)
-        large = _datalog_counters(32, "seminaive", intern=True)
-        assert small["eval.index_probes"] == _closure_size(16)
-        assert large["eval.index_probes"] == _closure_size(32)
 
 
 class TestCalcDeltaCounters:

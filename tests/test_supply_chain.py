@@ -7,8 +7,8 @@ Two halves:
   pins, at seed 0 and scales 1 and 4, the instance checksum, every
   relation's row count, and every inventory question's answer (row
   count, order-independent checksum, fixpoint stage count for the
-  recursive questions).  All three engine lanes — naive, semi-naive,
-  interned — are held to those numbers.  The expensive scale-4 CALC
+  recursive questions).  Both engine lanes — the naive oracle and the
+  semi-naive production engine — are held to those numbers.  The expensive scale-4 CALC
   sweep carries ``-m slow`` (the deep-differential CI lane).
 * **Generator properties** (hypothesis) — same seed ⇒ byte-identical
   instance checksum, documented row formulas, BOM acyclicity with the
@@ -40,12 +40,8 @@ from repro.workloads import (
 
 GOLDEN = load_golden()
 
-#: lane id -> (engine strategy, intern flag)
-LANES = {
-    "naive": ("naive", False),
-    "seminaive": ("seminaive", False),
-    "interned": ("seminaive", True),
-}
+#: The engine lanes: the naive oracle and the production engine.
+LANES = ("naive", "seminaive")
 
 PROPS = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -58,9 +54,8 @@ def instances():
             for scale in GOLDEN_SCALES}
 
 
-def _assert_question_matches(question, inst, expected, strategy, intern):
-    answer = answer_question(question, inst, strategy=strategy,
-                             intern=intern)
+def _assert_question_matches(question, inst, expected, strategy):
+    answer = answer_question(question, inst, strategy=strategy)
     assert len(answer.rows) == expected["rows"], question.name
     assert answer.checksum == expected["checksum"], question.name
     if question.recursive:
@@ -95,37 +90,34 @@ class TestGoldenDocument:
 
 
 class TestGoldenConformance:
-    @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize("lane", LANES)
     def test_scale1_every_question(self, instances, lane):
-        strategy, intern = LANES[lane]
         payload = GOLDEN["scales"]["1"]
         for question in QUESTIONS:
             _assert_question_matches(
                 question, instances[1], payload["questions"][question.name],
-                strategy, intern)
+                lane)
 
-    @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize("lane", LANES)
     def test_scale4_datalog_questions(self, instances, lane):
-        strategy, intern = LANES[lane]
         payload = GOLDEN["scales"]["4"]
         for question in QUESTIONS:
             if question.kind != "datalog":
                 continue
             _assert_question_matches(
                 question, instances[4], payload["questions"][question.name],
-                strategy, intern)
+                lane)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize("lane", LANES)
     def test_scale4_calc_questions(self, instances, lane):
-        strategy, intern = LANES[lane]
         payload = GOLDEN["scales"]["4"]
         for question in QUESTIONS:
             if question.kind != "calc":
                 continue
             _assert_question_matches(
                 question, instances[4], payload["questions"][question.name],
-                strategy, intern)
+                lane)
 
     def test_bom_stage_pins_are_scale_independent(self):
         """The depth-3 ternary blocks pin the BOM fixpoints' stage
