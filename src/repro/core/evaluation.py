@@ -36,16 +36,37 @@ the strategy alone picks the engine:
   first-read order, not the Definition 4.2 order, and are compared only
   by equality, membership and member-set inclusion.
 
-Interning is a bijection on the values in play and both refinements
-preserve Definition 3.1 exactly, so answers (decoded at the API
-boundary), stage sequences, stat counters and
-:class:`PFPDivergenceError` period/stage all match the naive strategy.
+  ``∃v.φ`` is *guarded* (Theorem 5.1's reason for polynomiality: values
+  come from relation atoms).  Its guard is a positive relation atom
+  reached from φ through ``And`` operands and nested ``∃`` bodies only,
+  with ``v`` as a direct argument and at least one *key* argument — a
+  constant, or a variable or projection bound outside the nested-∃
+  chain (never a fixpoint term); the atom with the most key positions
+  wins, an instance relation over a fixpoint relation on a tie.  When
+  the key variables are bound, the witnesses of ``v`` are the distinct
+  values at ``v``'s position of the rows an
+  :class:`repro.core.fixpoint.IndexPool` probe on the key returns,
+  intersected with ``v``'s candidates and tried in candidate order, so
+  the walk stops at the same first witness as the range walk.  The full
+  body is still checked for each: the guard only filters.  Rows come
+  from an enclosing fixpoint's current stage first, else the instance,
+  exactly like a relation atom; instance relations share one pool per
+  evaluation, and a fixpoint relation gets a fresh pool whenever its
+  rows change.  ``∀`` still walks its range.
+
+Interning is a bijection on the values in play, and every refinement
+preserves Definition 3.1 exactly, so answers (decoded at the API
+boundary), stage sequences, ``ifp.stages``/``pfp.stages``,
+``eval.delta_rows`` and :class:`PFPDivergenceError` period/stage all
+match the naive strategy.  The work counters (``eval.atom_checks``,
+``eval.formula_checks``, ``eval.quantifier_iterations``, ...) do not:
+skipped rows, memo hits and guards make the seminaive ones smaller.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..obs import NullTracer, Tracer, get_tracer
 from ..obs.metrics import value_node_count
@@ -55,7 +76,13 @@ from ..objects.intern import InternedInstance
 from ..objects.schema import DatabaseSchema
 from ..objects.types import Type
 from ..objects.values import Atom, CSet, CTuple, Value
-from .fixpoint import PFPDivergenceError, iterate_ifp, iterate_ifp_delta, iterate_pfp
+from .fixpoint import (
+    IndexPool,
+    PFPDivergenceError,
+    iterate_ifp,
+    iterate_ifp_delta,
+    iterate_pfp,
+)
 from .syntax import (
     IFP,
     And,
@@ -192,6 +219,74 @@ def _referenced_relations(formula: Formula) -> frozenset[str]:
     return frozenset(names)
 
 
+class _Guard(NamedTuple):
+    """The relation atom that fixes an ``∃`` variable's witnesses: rows
+    of ``relation`` whose ``key_positions`` equal ``key_terms`` (bound
+    by the enclosing environment) carry them at ``position``."""
+
+    relation: str
+    position: int
+    key_positions: tuple[int, ...]
+    key_terms: tuple[Term, ...]
+    key_vars: frozenset[str]
+
+
+def _find_guard(quantifier: Exists,
+                database_relations: Collection[str]) -> _Guard | None:
+    """The guard of ``∃v.φ`` (see the module docstring), or ``None``.
+
+    Ties on the key count go to a relation of ``database_relations``:
+    its index is built once per evaluation, where a fixpoint relation's
+    is rebuilt at every stage."""
+    name = quantifier.var.name
+
+    def guards(node: Formula, inner: frozenset[str]) -> Iterator[_Guard]:
+        if isinstance(node, And):
+            for operand in node.operands:
+                yield from guards(operand, inner)
+        elif isinstance(node, Exists) and node.var.name != name:
+            # (an inner ∃v would shadow v: below it, v is another variable)
+            yield from guards(node.body, inner | {node.var.name})
+        elif isinstance(node, RelAtom):
+            guard = _guard_atom(node, name, inner)
+            if guard is not None:
+                yield guard
+
+    return max(guards(quantifier.body, frozenset((name,))),
+               key=lambda guard: (len(guard.key_positions),
+                                  guard.relation in database_relations),
+               default=None)
+
+
+def _guard_atom(atom: RelAtom, name: str,
+                inner: frozenset[str]) -> _Guard | None:
+    """``atom`` as a guard for variable ``name``, where ``inner`` holds
+    ``name`` and the variables of the nested-∃ chain above ``atom``."""
+    position: int | None = None
+    key_positions: list[int] = []
+    key_terms: list[Term] = []
+    key_vars: set[str] = set()
+    for index, arg in enumerate(atom.args):
+        if isinstance(arg, Var) and arg.name == name:
+            if position is None:
+                position = index
+        elif isinstance(arg, Const):
+            key_positions.append(index)
+            key_terms.append(arg)
+        elif isinstance(arg, (Var, Proj)):
+            base = arg.base if isinstance(arg, Proj) else arg
+            if base.name not in inner:
+                key_positions.append(index)
+                key_terms.append(arg)
+                key_vars.add(base.name)
+    # Without a key position a probe would return the whole relation on
+    # every evaluation: a scan that can cost more than the range walk.
+    if position is None or not key_positions:
+        return None
+    return _Guard(atom.name, position, tuple(key_positions),
+                  tuple(key_terms), frozenset(key_vars))
+
+
 class _Context:
     """State threaded through a single evaluation."""
 
@@ -246,6 +341,14 @@ class _Context:
         #: the context, and structural hashing of a subtree on every
         #: lookup is exactly the per-node cost memoization must avoid.
         self._profiles: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
+        #: Guarded ∃ (interned contexts only): guards by ``id`` of the
+        #: quantifier, candidate ranks by ``id`` of the cached candidate
+        #: list, the instance relations' index pool, and per fixpoint
+        #: relation the rows its pool indexes (new rows get a new pool).
+        self._guards: dict[int, _Guard | None] = {}
+        self._ranks: dict[int, dict[int, int]] = {}
+        self.instance_pool = IndexPool(self.tracer)
+        self._stage_pools: dict[str, tuple[frozenset, IndexPool]] = {}
 
     def profile(self, formula: Formula) -> tuple[tuple[str, ...], frozenset[str]]:
         """Free-variable names (sorted) and referenced relation names."""
@@ -275,6 +378,38 @@ class _Context:
             cached = [self.store.intern(value) for value in source]
             self._encoded_domains[key] = cached
         return cached
+
+    def candidate_ranks(self, candidates: Collection[int]) -> dict[int, int]:
+        """Each id of an interned candidate list (as :meth:`candidates`
+        returns and caches it) mapped to its first position there."""
+        ranks = self._ranks.get(id(candidates))
+        if ranks is None:
+            ranks = {}
+            for rank, vid in enumerate(candidates):
+                ranks.setdefault(vid, rank)
+            self._ranks[id(candidates)] = ranks
+        return ranks
+
+    def guard(self, quantifier: Exists) -> _Guard | None:
+        key = id(quantifier)
+        if key not in self._guards:
+            self._guards[key] = _find_guard(
+                quantifier, self.instance.schema.relation_names)
+        return self._guards[key]
+
+    def guard_rows(self, name: str) -> tuple[frozenset, IndexPool]:
+        """A relation's rows and the pool indexing them, with the
+        precedence of a relation atom: an enclosing fixpoint's current
+        stage first, else the interned instance relation."""
+        rows = self.rel_env.get(name)
+        if rows is None:
+            assert self.interned is not None
+            return self.interned.rows(name), self.instance_pool
+        entry = self._stage_pools.get(name)
+        if entry is None or entry[0] is not rows:
+            entry = (rows, IndexPool(self.tracer))
+            self._stage_pools[name] = entry
+        return entry
 
 
 class Evaluator:
@@ -592,6 +727,17 @@ class Evaluator:
             row = tuple(self._eval_term(a, env, ctx) for a in formula.args)
             return row in rows
         if isinstance(formula, Exists):
+            witnesses = (None if ctx.store is None
+                         else self._guarded_witnesses(formula, env, ctx))
+            if witnesses is not None:
+                name = formula.var.name
+                for value in witnesses:
+                    ctx.stats["quantifier_iterations"] += 1
+                    extended = dict(env)
+                    extended[name] = value
+                    if self._satisfy(formula.body, extended, ctx):
+                        return True
+                return False
             for extended in self._bindings([formula.var], ctx, env):
                 if self._satisfy(formula.body, extended, ctx):
                     return True
@@ -602,6 +748,41 @@ class Evaluator:
                     return False
             return True
         raise EvalError(f"unknown formula {formula!r}")
+
+    def _guarded_witnesses(self, formula: Exists, env: dict[str, Value],
+                           ctx: _Context) -> list[int] | None:
+        """The candidates of ``formula.var`` its guard admits, in
+        candidate order; ``None`` (walk the range) when the quantifier
+        has no guard or a key variable is unbound.  The product cap
+        applies to the unguarded candidate count, as in the range walk.
+        """
+        guard = ctx.guard(formula)
+        if guard is None or not env.keys() >= guard.key_vars:
+            return None
+        var = formula.var
+        assert var.typ is not None
+        candidates = ctx.candidates(var.name, var.typ)
+        size = len(candidates)
+        if size > ctx.max_product:
+            raise EvalError(
+                f"enumeration of {size}+ bindings exceeds cap "
+                f"{ctx.max_product}"
+            )
+        ranks = ctx.candidate_ranks(candidates)
+        if ctx.tracer.enabled:
+            shape = ((var.name, size), guard.relation)
+            if shape not in ctx.traced_enumerations:
+                ctx.traced_enumerations.add(shape)
+                ctx.tracer.event("enumerate", vars=[var.name], sizes=[size],
+                                 product=size, guard=guard.relation)
+        key = tuple(self._eval_term(term, env, ctx) for term in guard.key_terms)
+        rows, pool = ctx.guard_rows(guard.relation)
+        position = guard.position
+        found = {row[position]
+                 for row in pool.probe(guard.relation, rows,
+                                       guard.key_positions, key)}
+        return sorted((vid for vid in found if vid in ranks),
+                      key=ranks.__getitem__)
 
     def _fixpoint_rows(
         self, fixpoint: Fixpoint, env: dict[str, Value], ctx: _Context

@@ -7,7 +7,8 @@ same divergence behaviour as the naive re-derive-everything object
 engine.  This suite checks that on:
 
 * every canonical workload query over its worked instances,
-* randomly generated CALC+IFP and CALC+PFP queries (hypothesis),
+* randomly generated CALC+IFP and CALC+PFP queries (hypothesis), under
+  active-domain semantics and under randomly restricted ranges,
 * randomly generated safe inf-Datalog programs (hypothesis),
 
 including the *failure* channel: a PFP query or program that diverges
@@ -31,13 +32,17 @@ from tests.conftest import (
     flat_graph_instances,
     supply_chain_instances,
 )
-from repro.core.evaluation import evaluate
+from repro.core.builder import V, exists, ifp, pfp, rel
+from repro.core.builder import query as build_query
+from repro.core.evaluation import Evaluator, active_atoms, evaluate
 from repro.core.fixpoint import PFPDivergenceError
+from repro.core.typecheck import check_query
 from repro.datalog import (
     evaluate_inflationary,
     evaluate_partial,
     inflationary_stages,
 )
+from repro.objects import Atom, CTuple
 from repro.obs import Tracer, use_tracer
 from repro.workloads import (
     bipartite_graph,
@@ -172,6 +177,151 @@ class TestRandomCalc:
     @given(query=calc_queries("pfp"), inst=flat_graph_instances())
     def test_pfp_strategies_agree_deep(self, query, inst):
         assert_calc_strategies_agree(query, inst)
+
+
+# ---------------------------------------------------------------------------
+# Restricted ranges (Section 5)
+# ---------------------------------------------------------------------------
+#
+# Under active-domain semantics every relation value is in range, so the
+# draws above cannot tell a guarded ∃ (witnesses from an index probe on
+# a relation conjunct) that forgets to intersect with the variable's
+# range from one that does.  Here every variable ranges over a chosen
+# set of atoms instead.
+
+def _restricted_outcome(query, inst, ranges, strategy):
+    evaluator = Evaluator(inst.schema, variable_ranges=ranges,
+                          strategy=strategy)
+    return _outcome(lambda: evaluator.evaluate(query, inst))
+
+
+def assert_restricted_strategies_agree(query, inst, ranges):
+    naive = _restricted_outcome(query, inst, ranges, "naive")
+    assert naive == _restricted_outcome(query, inst, ranges, "seminaive")
+    return naive
+
+
+def _seminaive_counters(query, inst, ranges):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        Evaluator(inst.schema, variable_ranges=ranges).evaluate(query, inst)
+    return tracer.counters
+
+
+def _squaring_closure(build_fixpoint):
+    """Transitive closure by squaring: in ∃z (S(x, z) ∧ S(z, y)) every
+    guard is the fixpoint's own relation, whose rows change per stage
+    (the PFP variant re-asserts S so that it converges)."""
+    x, y, z = V("x", "U"), V("y", "U"), V("z", "U")
+    S = rel("S")
+    body = rel("G")(x, y) | exists(z, S(x, z) & S(z, y))
+    if build_fixpoint is pfp:
+        body = S(x, y) | body
+    return build_query([x, y], build_fixpoint("S", [x, y], body)(x, y))
+
+
+def _rg_instance(**relations):
+    """An instance of ``R[U,U,U]`` and ``G[U,U]`` (empty unless given)."""
+    from repro.objects import database_schema, instance
+
+    schema = database_schema(R=["U", "U", "U"], G=["U", "U"])
+    return instance(schema, **{"R": [], "G": [], **relations})
+
+
+class TestRestrictedRanges:
+    def test_guard_witness_outside_range_is_not_tried(self):
+        """G(a, b) makes b a witness of z, but z's range is empty."""
+        inst = _rg_instance(G=[("a", "b")])
+        x, z = V("x", "U"), V("z", "U")
+        q = build_query([x], exists(z, rel("G")(x, z)))
+        ranges = {"x": {Atom("a")}, "z": set()}
+        assert assert_restricted_strategies_agree(q, inst, ranges) \
+            == (("ok", frozenset()), (0, 0))
+        assert _seminaive_counters(q, inst, ranges)["eval.index_probes"] == 1
+
+    def test_guard_on_enclosing_fixpoint_relation(self):
+        """Squaring's ∃z is guarded by S, whose rows change every stage:
+        each stage probes a fresh index."""
+        inst = chain_graph(9)
+        atoms = sorted(inst.atoms(), key=repr)
+        q = _squaring_closure(ifp)
+        ranges = {"x": atoms, "y": atoms, "z": atoms[::2]}
+        outcome = assert_restricted_strategies_agree(q, inst, ranges)
+        assert outcome[0][0] == "ok" and outcome[0][1]
+        counters = _seminaive_counters(q, inst, ranges)
+        assert counters["eval.index_builds"] == counters["ifp.stages"]
+
+    def test_nested_exists_chain(self):
+        """∃o ∃p (R(o, c, p) ∧ G(p, o)): the outer ∃o is guarded by R on
+        c alone (p is bound inside the chain), the inner ∃p by R on o
+        and c; o's range drops the only witness that makes c1 true."""
+        o1, o2, o3, c1, c2, p1, p2 = (
+            Atom(label) for label in ("o1", "o2", "o3", "c1", "c2",
+                                      "p1", "p2"))
+        inst = _rg_instance(R=[(o1, c1, p1), (o2, c1, p2), (o3, c2, p2)],
+                            G=[(p1, o1), (p2, o3)])
+        c, o, p = V("c", "U"), V("o", "U"), V("p", "U")
+        q = build_query([c], exists([o, p],
+                                    rel("R")(o, c, p) & rel("G")(p, o)))
+        full = {"c": {c1, c2}, "o": {o1, o2, o3}, "p": {p1, p2}}
+        assert assert_restricted_strategies_agree(q, inst, full)[0] == \
+            ("ok", frozenset({CTuple([c1]), CTuple([c2])}))
+        restricted = {**full, "o": {o2, o3}}
+        assert assert_restricted_strategies_agree(q, inst, restricted)[0] \
+            == ("ok", frozenset({CTuple([c2])}))
+
+    def test_repeated_variable_in_guard(self):
+        """R(x, z, z): the probe yields z's values from one position and
+        the body check rejects rows whose two z positions differ."""
+        a, b, c, d = (Atom(label) for label in "abcd")
+        inst = _rg_instance(R=[(a, b, c), (d, c, c)])
+        x, z = V("x", "U"), V("z", "U")
+        q = build_query([x], exists(z, rel("R")(x, z, z)))
+        ranges = {"x": {a, b, c, d}, "z": {a, b, c, d}}
+        assert assert_restricted_strategies_agree(q, inst, ranges)[0] == \
+            ("ok", frozenset({CTuple([d])}))
+
+
+def _draw_ranges(data, query, inst):
+    """Each variable's range: the active atoms minus a drawn subset.
+    Hypothesis favours small draws, so most ranges lose a few atoms —
+    the case where a relation value falls outside a range."""
+    atoms = active_atoms(inst)
+    removed = (st.frozensets(st.sampled_from(atoms)) if atoms
+               else st.just(frozenset()))
+    names = sorted(check_query(query, inst.schema).variable_types)
+    return {name: frozenset(atoms) - data.draw(removed, label=name)
+            for name in names}
+
+
+class TestRandomRestrictedCalc:
+    @FAST
+    @given(query=calc_queries("ifp"), inst=flat_graph_instances(),
+           data=st.data())
+    def test_ifp_strategies_agree(self, query, inst, data):
+        assert_restricted_strategies_agree(
+            query, inst, _draw_ranges(data, query, inst))
+
+    @FAST
+    @given(query=calc_queries("pfp"), inst=flat_graph_instances(),
+           data=st.data())
+    def test_pfp_strategies_agree(self, query, inst, data):
+        assert_restricted_strategies_agree(
+            query, inst, _draw_ranges(data, query, inst))
+
+    @FAST
+    @given(query=st.sampled_from([
+               transitive_closure_query("U"),
+               pfp_transitive_closure_query("U"),
+               _squaring_closure(ifp),
+               _squaring_closure(pfp),
+           ]),
+           inst=flat_graph_instances(), data=st.data())
+    def test_guarded_closures_agree(self, query, inst, data):
+        """Few drawn queries have a guarded ∃; every closure stage does,
+        guarded by an instance relation or by the fixpoint's own."""
+        assert_restricted_strategies_agree(
+            query, inst, _draw_ranges(data, query, inst))
 
 
 # ---------------------------------------------------------------------------
