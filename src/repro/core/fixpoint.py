@@ -198,11 +198,18 @@ class IndexPool:
     ``probe(source_key, rows, positions, key)`` returns the rows whose
     projection onto ``positions`` equals ``key``, building the index
     ``{projection: [rows]}`` for ``(source_key, positions)`` on first
-    use.  The interned engines keep one *persistent* pool for the
-    immutable EDB tables and a *fresh* pool per delta stage for the
-    mutating IDB/delta views — constructing a new pool is how an index
-    over a changed row set is invalidated, so a pool must never outlive
-    the row sets its ``source_key``s name.
+    use.  An index describes the row collection it was built from, so a
+    pool must never outlive the row sets its ``source_key``s name unless
+    every change to them is reported:
+
+    * a row set that only *grows* keeps its indexes when each batch of
+      rows added to it is passed to :meth:`append` before the next
+      probe (the inflationary Datalog IDB: one pool per evaluation);
+    * a row set that is *replaced* needs a fresh pool — constructing a
+      new pool is how its indexes are invalidated (delta views, PFP
+      stages, the calculus engine's fixpoint relations).
+
+    The immutable EDB tables keep one persistent pool per evaluation.
 
     Every build bumps the ``eval.index_builds`` counter and every lookup
     ``eval.index_probes``, making the scan-vs-probe tradeoff visible to
@@ -233,19 +240,33 @@ class IndexPool:
         index = self._indexes.get(index_key)
         if index is None:
             index = {}
-            for row in rows:
-                projection = tuple(row[p] for p in positions)
-                bucket = index.get(projection)
-                if bucket is None:
-                    index[projection] = [row]
-                else:
-                    bucket.append(row)
+            _add_rows(index, rows, positions)
             self._indexes[index_key] = index
             if self._tracer.enabled:
                 self._tracer.count("eval.index_builds")
         if self._tracer.enabled:
             self._tracer.count("eval.index_probes")
         return index.get(key, self._EMPTY)
+
+    def append(self, source_key: str, rows: Iterable[Row]) -> None:
+        """Add ``rows``, just added to the collection named
+        ``source_key``, to every index already built over it.  Indexes
+        built later read the grown collection itself."""
+        for (key, positions), index in self._indexes.items():
+            if key == source_key:
+                _add_rows(index, rows, positions)
+
+
+def _add_rows(index: dict, rows: Iterable[Row],
+              positions: Tuple[int, ...]) -> None:
+    """File each row under its projection onto ``positions``."""
+    for row in rows:
+        projection = tuple(row[p] for p in positions)
+        bucket = index.get(projection)
+        if bucket is None:
+            index[projection] = [row]
+        else:
+            bucket.append(row)
 
 
 def ifp_stages(stage: StageFn) -> Iterator[Rows]:
@@ -258,21 +279,6 @@ def ifp_stages(stage: StageFn) -> Iterator[Rows]:
         if new == current:
             return
         current = new
-        yield current
-
-
-def ifp_delta_stages(stage: DeltaStageFn) -> Iterator[Rows]:
-    """Yield the successive stages of a delta-protocol IFP iteration,
-    mirroring :func:`ifp_stages` (same states, same count)."""
-    current: Rows = frozenset()
-    delta: Rows = frozenset()
-    yield current
-    while True:
-        fresh = frozenset(stage(current, delta)) - current
-        if not fresh:
-            return
-        current = current | fresh
-        delta = fresh
         yield current
 
 

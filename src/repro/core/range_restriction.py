@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from ..objects.types import TupleType, Type
-from ..objects.values import CSet, CTuple, Value
+from ..objects.values import CSet, CTuple, Value, value_sort_key
 from .syntax import (
     And,
     Const,
@@ -758,6 +758,9 @@ class _RangeComputer:
         self.variable_types = dict(variable_types)
         self.database_relations = database_relations
         self.ranges: dict[Path, set[Value]] = {}
+        #: Ranges in canonical order, sorted once per change (see
+        #: :meth:`variable_ranges`).
+        self._ordered: dict[Path, list[Value]] = {}
         self.changed = False
 
     def add(self, path: Path, values) -> None:
@@ -766,6 +769,22 @@ class _RangeComputer:
         bucket.update(values)
         if len(bucket) != before:
             self.changed = True
+            self._ordered.pop(path, None)
+
+    def variable_ranges(self) -> dict[str, list[Value]]:
+        """Each variable's range as a list in one canonical order
+        (:func:`~repro.objects.values.value_sort_key`).  Quantifiers
+        walk their ranges in this order, so where they stop — and the
+        work counters — do not depend on set iteration order."""
+        result: dict[str, list[Value]] = {}
+        for path, values in self.ranges.items():
+            if len(path) == 1:
+                ordered = self._ordered.get(path)
+                if ordered is None:
+                    ordered = sorted(values, key=value_sort_key)
+                    self._ordered[path] = ordered
+                result[path[0]] = ordered
+        return result
 
     def run(self, formula: Formula) -> dict[Path, set[Value]]:
         for round_index in range(self.MAX_ROUNDS):
@@ -931,8 +950,7 @@ class _RangeComputer:
 
         evaluator = Evaluator(
             self.instance.schema,
-            variable_ranges={p[0]: v for p, v in self.ranges.items()
-                             if len(p) == 1},
+            variable_ranges=self.variable_ranges(),
         )
         return evaluator.evaluate_formula(
             formula, self.instance, env,
@@ -948,8 +966,7 @@ class _RangeComputer:
 
         evaluator = Evaluator(
             self.instance.schema,
-            variable_ranges={p[0]: v for p, v in self.ranges.items()
-                             if len(p) == 1},
+            variable_ranges=self.variable_ranges(),
         )
         try:
             rows = evaluator.evaluate_fixpoint(term.fixpoint, self.instance, env)
@@ -1005,10 +1022,12 @@ def compute_ranges(
     schema=None,
     exempt_types: frozenset[Type] | set[Type] = frozenset(),
     max_exempt_domain: int = 1_000_000,
-) -> dict[str, set[Value]]:
+) -> dict[str, list[Value]]:
     """Derive candidate value sets per variable for a RR query.
 
-    Returns a map from variable name to a finite set of values; feeding it
+    Returns a map from variable name to a finite set of values, listed
+    once each in the canonical :func:`~repro.objects.values.value_sort_key`
+    order (so evaluation does not depend on hash order); feeding it
     to :class:`repro.core.evaluation.Evaluator` as ``variable_ranges``
     evaluates the query under the restricted-domain semantics, which for
     range-restricted queries coincides with the active-domain answer
@@ -1044,13 +1063,10 @@ def compute_ranges(
                 computer.add(
                     (name,),
                     materialize_domain(typ, atoms, max_exempt_domain))
-    path_ranges = computer.run(query.body)
-    ranges: dict[str, set[Value]] = {}
-    for path, values in path_ranges.items():
-        if len(path) == 1:
-            ranges[path[0]] = values
+    computer.run(query.body)
+    ranges = computer.variable_ranges()
     # Variables never seeded (possible only if analysis and flows
     # disagree) get empty ranges, which is sound for RR formulas.
     for name in report.variable_types:
-        ranges.setdefault(name, set())
+        ranges.setdefault(name, [])
     return ranges

@@ -45,13 +45,13 @@ class SafeEvaluationReport:
     Attributes:
         answer: the query answer (set of head tuples).
         ranges: the derived range per variable (the range function's value
-            on this instance).
+            on this instance), in canonical order.
         range_sizes: per-variable range cardinalities (a PTIME witness:
             each is polynomial in the instance).
     """
 
     answer: frozenset[CTuple]
-    ranges: dict[str, set[Value]]
+    ranges: dict[str, list[Value]]
 
     @property
     def range_sizes(self) -> dict[str, int]:

@@ -10,19 +10,26 @@ Two semantics, mirroring the paper's fixpoint operators:
   (the PFP analogue); may diverge, reported like
   :class:`repro.core.fixpoint.PFPDivergenceError`.
 
-Rule bodies are evaluated by a greedy binding planner: at each point the
-engine picks an evaluable literal — a positive relation literal (join),
-an equality with one side bound, a membership with bound container, or
-any fully-bound literal used as a filter.  If no literal is evaluable the
-rule is *unsafe* and :class:`DatalogError` is raised: this is the
-deductive counterpart of range restriction, and it keeps evaluation
-polynomial per stage.
+Before the first stage, both strategies check every body relation
+literal against the instance schema and the IDB declarations: an unknown
+relation raises the instance's :class:`~repro.objects.schema.SchemaError`
+and a wrong arity raises :class:`DatalogError`, whether or not a join
+would ever reach the literal.
+
+A rule body is evaluable when some literal can always be taken next —
+a positive relation literal (join), an equality with one side bound, a
+membership with bound container, or any fully-bound literal used as a
+filter.  If no literal is evaluable the rule is *unsafe* and
+:class:`DatalogError` is raised, lazily: only when a binding reaches
+that point.  This is the deductive counterpart of range restriction,
+and it keeps evaluation polynomial per stage.
 
 The strategy alone picks the engine:
 
 * ``strategy="naive"`` — the differential oracle, over nested values:
   every stage re-fires every rule against the full previous IDB,
-  re-deriving everything derived before;
+  re-deriving everything derived before, and joins the body literals in
+  text order (the first evaluable literal is taken next);
 * ``strategy="seminaive"`` (default) — the production engine, true
   semi-naive firing over interned ids.  Each rule is rewritten into
   *delta versions*, one per positive IDB body literal, where that
@@ -34,36 +41,75 @@ The strategy alone picks the engine:
   delta versions after stage 1 is exact — including for programs with
   negation.
 
+**Join plans.**  The semi-naive engine compiles each rule it fires into
+a join plan once per stage.  The plan tracks which variables are bound
+step by step (boundness depends only on names, so the plan is static for
+the stage) and at each step takes:
+
+1. a literal whose terms are all bound, as a filter — a relation
+   literal becomes a membership test, a builtin a check (text order
+   among filters);
+2. else a generator: a positive ``=`` with exactly one unbound variable
+   side, or ``x in s`` with ``s`` bound;
+3. else the positive relation literal with the most bound positions;
+   ties go to the ``Δ::`` literal, then to the smaller row set at this
+   stage, then to text order.  It probes an index on its bound
+   positions, or scans when none is bound.
+
+Bindings live in one slot list per plan, constants are interned once
+per plan, and the plan appends head id-tuples to a list that is folded
+into the stage's derived sets.  Evaluability only grows as variables get
+bound, so every greedy order consumes the same maximal set of literals
+as the oracle's text order; a plan that cannot place the rest ends in a
+step raising the oracle's "unsafe rule" error, which therefore fires
+exactly when the oracle's does.  "head variable unbound by body" is
+raised at the first head row, as in the oracle.  Value errors (``in`` or
+``sub`` on a non-set) are raised where a binding meets them, so one can
+surface on a program whose text-order join stops at an empty literal
+before reaching the offending one.
+
 The semi-naive engine starts each evaluation from an empty
 :class:`repro.objects.intern.ValueStore`; rows become tuples of dense
-ids, and an EDB relation is interned the first time a rule literal reads
-it (:class:`repro.objects.intern.InternedInstance`), so relations the
-program never reads are never interned.  Ids follow that first-read
+ids, and an EDB relation is interned when the first plan that mentions
+it is compiled (:class:`repro.objects.intern.InternedInstance`), so
+relations the program never mentions are never interned.  Ids follow that first-read
 order, not the Definition 4.2 order, and are compared only by equality,
-membership and member-set inclusion.  Positive literals probe
-:class:`repro.core.fixpoint.IndexPool` hash indexes keyed on their bound
-positions instead of scanning.  EDB indexes persist for the whole
-evaluation; IDB/delta views get a fresh pool per stage (their rows
-change).  Interning is a bijection on the values in play, so the packed
-states the generic fixpoint engines see are element-wise renamed but
-structurally identical — stage counts, derivation counters and PFP
-divergence (period, stage) all coincide with the naive oracle's.
+membership and member-set inclusion.  Index lifetimes follow the row
+sets (:class:`repro.core.fixpoint.IndexPool`):
+
+* EDB indexes persist for the whole evaluation;
+* the inflationary IDB keeps one mutable row set per predicate and one
+  pool for the whole evaluation: each stage's fresh rows are added to
+  the sets and appended to every index already built over them;
+* the ``Δ::`` views get a fresh pool per stage, and so does the IDB
+  under partial semantics, which replaces it every stage.
+
+Interning is a bijection on the values in play, so stage sequences,
+``ifp.stages`` and PFP divergence (period, stage) coincide with the
+naive oracle's.  The set of satisfying bindings of a body does not
+depend on join order, so ``datalog.rows_derived``,
+``datalog.delta_rows`` and ``datalog.dedup_hits`` are those of the
+delta rewriting whatever order a plan takes; only the index counters
+(``eval.index_probes``/``eval.index_builds``) are the plan's own.
 Results are uninterned at the API boundary.
 
 Partial (PFP) semantics replaces the IDB wholesale each stage, so no
 derivation can be carried over: both strategies fire every rule each
-stage, the semi-naive one over interned ids.
+stage, the semi-naive one through join plans over interned ids.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 from ..core.evaluation import STRATEGIES, check_strategy
 from ..core.fixpoint import (
+    FixpointError,
     IndexPool,
+    ifp_stages,
     iterate_ifp,
-    iterate_ifp_delta,
     iterate_pfp,
 )
 from ..obs import get_tracer
@@ -99,8 +145,8 @@ class _Database:
     """Uniform view of EDB relations and the current IDB state, over
     plain nested values (the naive oracle).
 
-    The matching/builtin methods shared with :class:`_InternedDatabase`
-    form the protocol the planner drives.
+    Its matching/builtin methods are the protocol the text-order
+    planner :func:`_rule_bindings` drives.
     """
 
     def __init__(self, inst: Instance, idb: Mapping[str, frozenset[Row]],
@@ -203,144 +249,6 @@ class _Database:
         return value
 
 
-class _InternedEngine:
-    """Per-evaluation interned state: the EDB interned on first read
-    (with its :class:`ValueStore`) and the persistent EDB index pool."""
-
-    def __init__(self, program: Program, inst: Instance, tracer):
-        self.program = program
-        self.edb = InternedInstance(inst)
-        self.store = self.edb.store
-        self.tracer = tracer
-        self.edb_pool = IndexPool(tracer)
-
-    def database(self, idb: Mapping[str, frozenset[Row]],
-                 delta: Mapping[str, frozenset[Row]] | None = None
-                 ) -> "_InternedDatabase":
-        return _InternedDatabase(self, idb, delta)
-
-    def unintern_result(
-        self, result: Mapping[str, frozenset[Row]]
-    ) -> dict[str, frozenset[Row]]:
-        return {
-            name: frozenset(self.store.unintern_row(row) for row in rows)
-            for name, rows in result.items()
-        }
-
-
-class _InternedDatabase:
-    """The semi-naive engine's view: rows are tuples of dense ids,
-    positive literals probe hash indexes on bound positions, and
-    rewritten rules read ``delta`` (the rows derived at the previous
-    stage) through predicates named ``Δ::P``.
-
-    Each stage builds a fresh instance, and with it a fresh index pool
-    for the IDB/delta views — that is the per-delta-stage invalidation;
-    the immutable EDB keeps its indexes in the engine's persistent pool.
-    """
-
-    def __init__(self, engine: _InternedEngine,
-                 idb: Mapping[str, frozenset[Row]],
-                 delta: Mapping[str, frozenset[Row]] | None = None):
-        self.engine = engine
-        self.store: ValueStore = engine.store
-        self.program = engine.program
-        self.idb = idb
-        self.delta = delta
-        self.stage_pool = IndexPool(engine.tracer)
-
-    def _source(self, predicate: str):
-        """``(index source key, rows, owning pool)`` for a predicate."""
-        if predicate.startswith(_DELTA):
-            assert self.delta is not None
-            rows = self.delta.get(predicate[len(_DELTA):], frozenset())
-            return predicate, rows, self.stage_pool
-        if predicate in self.program.idb_types:
-            return predicate, self.idb.get(predicate, frozenset()), \
-                self.stage_pool
-        return predicate, self.engine.edb.rows(predicate), \
-            self.engine.edb_pool
-
-    def rows(self, predicate: str) -> frozenset[Row]:
-        _, rows, _ = self._source(predicate)
-        return rows
-
-    def term_value(self, term, env: Env):
-        if isinstance(term, DConst):
-            return self.store.intern(term.value)
-        assert isinstance(term, DVar)
-        return env.get(term.name)
-
-    def match_positive(self, literal: Literal, env: Env) -> Iterator[Env]:
-        """Join a positive literal by probing the index on its bound
-        positions (constants and env-bound variables); a literal with
-        no bound position scans, exactly like the object engine."""
-        bound_positions: list[int] = []
-        bound_key: list[int] = []
-        out_positions: list[tuple[str, int]] = []
-        eq_checks: list[tuple[int, int]] = []
-        first_seen: dict[str, int] = {}
-        for position, term in enumerate(literal.terms):
-            value = self.term_value(term, env)
-            if value is not None:
-                bound_positions.append(position)
-                bound_key.append(value)
-            elif term.name in first_seen:
-                eq_checks.append((position, first_seen[term.name]))
-            else:
-                first_seen[term.name] = position
-                out_positions.append((term.name, position))
-        source_key, rows, pool = self._source(literal.predicate)
-        for row in rows:
-            if len(row) != len(literal.terms):
-                raise DatalogError(
-                    f"arity mismatch matching {literal!r} against a "
-                    f"{len(row)}-tuple"
-                )
-            break
-        if bound_positions:
-            candidates = pool.probe(source_key, rows,
-                                    tuple(bound_positions),
-                                    tuple(bound_key))
-        else:
-            candidates = rows
-        for row in candidates:
-            if any(row[p] != row[q] for p, q in eq_checks):
-                continue
-            extended = dict(env)
-            for name, position in out_positions:
-                extended[name] = row[position]
-            yield extended
-
-    def check_builtin(self, literal: BuiltinLiteral, env: Env) -> bool:
-        left = self.term_value(literal.left, env)
-        right = self.term_value(literal.right, env)
-        assert left is not None and right is not None
-        if literal.op == "=":
-            result = left == right
-        elif literal.op == "in":
-            members = self.store.set_members(right)
-            if members is None:
-                raise DatalogError(
-                    f"'in' against non-set value {self.store.value(right)!r}")
-            result = left in members
-        else:  # sub
-            left_members = self.store.set_members(left)
-            right_members = self.store.set_members(right)
-            if left_members is None or right_members is None:
-                raise DatalogError("'sub' needs set values")
-            result = left_members <= right_members
-        return result == literal.positive
-
-    generate_builtin = _Database.generate_builtin
-
-    def _set_members(self, value):
-        return self.store.set_members(value)
-
-    def _display(self, value):
-        return self.store.value(value)
-
-
 def _is_bound(literal, env: Env, db) -> bool:
     return all(
         db.term_value(t, env) is not None
@@ -350,10 +258,8 @@ def _is_bound(literal, env: Env, db) -> bool:
 
 
 def _rule_bindings(rule: Rule, db) -> Iterator[Env]:
-    """All satisfying bindings of a rule body, via the greedy planner.
-
-    ``db`` is either database flavour; the planner only speaks the
-    shared matching protocol."""
+    """All satisfying bindings of a rule body, via the greedy planner
+    (the naive oracle's: the first evaluable literal in text order)."""
 
     def extend(env: Env, remaining: list) -> Iterator[Env]:
         if not remaining:
@@ -390,41 +296,60 @@ def _rule_bindings(rule: Rule, db) -> Iterator[Env]:
     yield from extend({}, list(rule.body))
 
 
-def _derive(rules, db,
-            idb: Mapping[str, frozenset[Row]]) -> dict[str, frozenset[Row]]:
-    """Fire the given rules once against ``db``; collect head rows.
+def _head_rows(rule: Rule, db) -> Iterator[Row]:
+    """The head row of each satisfying binding of ``rule`` over ``db``."""
+    for env in _rule_bindings(rule, db):
+        row = []
+        for term in rule.head.terms:
+            value = db.term_value(term, env)
+            if value is None:
+                raise DatalogError(
+                    f"head variable unbound by body in {rule!r}"
+                )
+            row.append(value)
+        yield tuple(row)
+
+
+def _tally(target: set[Row], rows, previous, tracer) -> None:
+    """Add one rule firing's head rows to ``target`` (the rows derived
+    for the head predicate so far this stage).
 
     When tracing, counts rows derived and *dedup hits* — derivations of
     a row already produced this stage or already present in the previous
-    IDB (the re-derivations semi-naive evaluation skips).
+    IDB (``previous``: the re-derivations semi-naive evaluation skips).
+    Both are summed per firing and published only when nonzero.
     """
+    if not tracer.enabled:
+        target.update(rows)
+        return
+    rows = list(rows)
+    if not rows:
+        return
+    new = set(rows).difference(target)
+    target.update(new)
+    tracer.count("datalog.rows_derived", len(rows))
+    hits = len(rows) - len(new.difference(previous))
+    if hits:
+        tracer.count("datalog.dedup_hits", hits)
+
+
+def _derive(rules, db,
+            idb: Mapping[str, frozenset[Row]]) -> dict[str, frozenset[Row]]:
+    """Fire the given rules once against ``db`` (the naive oracle's
+    database); collect head rows."""
     tracer = get_tracer()
     program = db.program
     derived: dict[str, set[Row]] = {name: set() for name in program.idb_types}
     for rule in rules:
         tracer.heartbeat()
-        for env in _rule_bindings(rule, db):
-            row = []
-            for term in rule.head.terms:
-                value = db.term_value(term, env)
-                if value is None:
-                    raise DatalogError(
-                        f"head variable unbound by body in {rule!r}"
-                    )
-                row.append(value)
-            head_row = tuple(row)
-            predicate = rule.head.predicate
-            if tracer.enabled:
-                tracer.count("datalog.rows_derived")
-                if (head_row in derived[predicate]
-                        or head_row in idb.get(predicate, frozenset())):
-                    tracer.count("datalog.dedup_hits")
-            derived[predicate].add(head_row)
+        predicate = rule.head.predicate
+        _tally(derived[predicate], _head_rows(rule, db),
+               idb.get(predicate, frozenset()), tracer)
     return {name: frozenset(rows) for name, rows in derived.items()}
 
 
-#: A database factory: ``make_db(idb)`` (or ``make_db(idb, delta)`` on
-#: the semi-naive engine) builds the per-stage database view.
+#: A database factory: ``make_db(idb)`` builds the naive oracle's
+#: per-stage database view.
 _DbFactory = Callable[..., object]
 
 
@@ -458,37 +383,6 @@ def _naive_stage(program: Program, make_db: _DbFactory):
     return stage
 
 
-def _seminaive_stage(program: Program, make_db: _DbFactory,
-                     delta_rules: tuple[Rule, ...]):
-    """Build a delta-protocol stage function for the packed IDB state.
-
-    The first call (empty state, empty delta) fires every original rule;
-    subsequent calls fire only the delta variants against the previous
-    stage's fresh rows.  ``datalog.delta_rows`` counts the fresh rows a
-    stage contributes; ``datalog.refires_avoided`` counts, per delta
-    stage, the rows already settled in the IDB — each is at least one
-    re-derivation the naive engine would perform and this stage skips.
-    """
-    tracer = get_tracer()
-
-    def stage(packed: frozenset, packed_delta: frozenset) -> frozenset:
-        idb = _unpack(packed, program)
-        if not packed and not packed_delta:
-            derived = _derive(program.rules, make_db(idb), idb)
-        else:
-            delta = _unpack(packed_delta, program)
-            derived = _derive(delta_rules, make_db(idb, delta), idb)
-        packed_derived = _pack(derived)
-        if tracer.enabled:
-            tracer.count("datalog.delta_rows",
-                         len(packed_derived - packed))
-            if packed:
-                tracer.count("datalog.refires_avoided", len(packed))
-        return packed_derived
-
-    return stage
-
-
 def _pack(idb: Mapping[str, frozenset[Row]]) -> frozenset:
     """Pack a multi-predicate IDB state into one frozenset for the
     generic fixpoint engines (rows are tagged with their predicate)."""
@@ -504,23 +398,416 @@ def _unpack(packed: frozenset, program: Program) -> dict[str, frozenset[Row]]:
     return {name: frozenset(rows) for name, rows in result.items()}
 
 
-def _factory(program: Program, inst: Instance, strategy: str,
-             tracer) -> tuple[_DbFactory, _InternedEngine | None]:
-    """The per-stage database factory for the strategy's engine: nested
-    values for the naive oracle, interned ids for semi-naive."""
+# ---------------------------------------------------------------------------
+# Join plans (the semi-naive engine)
+# ---------------------------------------------------------------------------
+
+#: ``source(predicate)`` -> ``(index source key, rows, owning pool)``
+#: for one stage.
+_Source = Callable[[str], tuple]
+#: One compiled step: runs on the plan's slot list and calls the next.
+_Step = Callable[[list], None]
+
+
+def _terms(literal) -> tuple:
+    if isinstance(literal, Literal):
+        return literal.terms
+    return (literal.left, literal.right)
+
+
+def _is_bound_term(term, bound) -> bool:
+    return isinstance(term, DConst) or term.name in bound
+
+
+def _generator(literal, bound) -> tuple | None:
+    """``(bound term, variable)`` when ``literal`` can bind one variable
+    from bound terms: ``x = t`` / ``t = x``, or ``x in s``."""
+    if not isinstance(literal, BuiltinLiteral) or not literal.positive:
+        return None
+    left_free = (isinstance(literal.left, DVar)
+                 and literal.left.name not in bound)
+    right_free = (isinstance(literal.right, DVar)
+                  and literal.right.name not in bound)
+    if literal.op == "=" and left_free != right_free:
+        if left_free:
+            return literal.right, literal.left
+        return literal.left, literal.right
+    if literal.op == "in" and left_free and not right_free:
+        return literal.right, literal.left
+    return None
+
+
+def _pick(remaining: list, bound, source: _Source) -> int | None:
+    """Index of the literal the plan takes next (see the module
+    docstring), or None when none is evaluable."""
+    for index, literal in enumerate(remaining):
+        if all(_is_bound_term(t, bound) for t in _terms(literal)):
+            return index
+    for index, literal in enumerate(remaining):
+        if _generator(literal, bound) is not None:
+            return index
+    best = None
+    for index, literal in enumerate(remaining):
+        if isinstance(literal, Literal) and literal.positive:
+            rank = (-sum(_is_bound_term(t, bound) for t in literal.terms),
+                    not literal.predicate.startswith(_DELTA),
+                    len(source(literal.predicate)[1]),
+                    index)
+            if best is None or rank < best:
+                best = rank
+    return None if best is None else best[-1]
+
+
+def _getter(slots: list[int]) -> Callable[[list], tuple]:
+    """A callable reading ``slots`` out of a slot list as a tuple."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    return itemgetter(*slots)
+
+
+def _binder(first: int, positions: tuple[int, ...],
+            repeats: tuple[tuple[int, int], ...], nxt: _Step):
+    """``each(rows, slots)``: for every row whose repeated-variable
+    positions agree, write ``positions`` into the slots from ``first``
+    on and continue with ``nxt``."""
+    end = first + len(positions)
+    if repeats:
+        pick = _getter(list(positions))
+
+        def each(rows, slots: list) -> None:
+            for row in rows:
+                if all(row[p] == row[q] for p, q in repeats):
+                    slots[first:end] = pick(row)
+                    nxt(slots)
+    elif len(positions) == 1:
+        (position,) = positions
+
+        def each(rows, slots: list) -> None:
+            for row in rows:
+                slots[first] = row[position]
+                nxt(slots)
+    else:
+        pick = itemgetter(*positions)
+
+        def each(rows, slots: list) -> None:
+            for row in rows:
+                slots[first:end] = pick(row)
+                nxt(slots)
+    return each
+
+
+def _scan(rows, first, positions, repeats, nxt: _Step) -> _Step:
+    each = _binder(first, positions, repeats, nxt)
+    return lambda slots: each(rows, slots)
+
+
+def _probe(source_key, rows, pool: IndexPool, key_positions, key_slots,
+           first, positions, repeats, nxt: _Step) -> _Step:
+    each = _binder(first, positions, repeats, nxt)
+    probe, key_of = pool.probe, _getter(key_slots)
+    return lambda slots: each(
+        probe(source_key, rows, key_positions, key_of(slots)), slots)
+
+
+def _member(rows, key_slots, positive: bool, nxt: _Step) -> _Step:
+    key_of = _getter(key_slots)
+
+    def run(slots: list) -> None:
+        if (key_of(slots) in rows) is positive:
+            nxt(slots)
+    return run
+
+
+def _set_members(store: ValueStore, vid: int, op: str) -> frozenset[int]:
+    members = store.set_members(vid)
+    if members is None:
+        if op == "in":
+            raise DatalogError(
+                f"'in' against non-set value {store.value(vid)!r}")
+        raise DatalogError("'sub' needs set values")
+    return members
+
+
+def _check(store: ValueStore, op: str, left: int, right: int,
+           positive: bool, nxt: _Step) -> _Step:
+    if op == "=":
+        def run(slots: list) -> None:
+            if (slots[left] == slots[right]) is positive:
+                nxt(slots)
+    elif op == "in":
+        def run(slots: list) -> None:
+            members = _set_members(store, slots[right], op)
+            if (slots[left] in members) is positive:
+                nxt(slots)
+    else:  # sub
+        def run(slots: list) -> None:
+            left_members = _set_members(store, slots[left], op)
+            right_members = _set_members(store, slots[right], op)
+            if (left_members <= right_members) is positive:
+                nxt(slots)
+    return run
+
+
+def _assign(source: int, target: int, nxt: _Step) -> _Step:
+    def run(slots: list) -> None:
+        slots[target] = slots[source]
+        nxt(slots)
+    return run
+
+
+def _enumerate(store: ValueStore, source: int, target: int,
+               nxt: _Step) -> _Step:
+    def run(slots: list) -> None:
+        for member in _set_members(store, slots[source], "in"):
+            slots[target] = member
+            nxt(slots)
+    return run
+
+
+def _fail(message: str, nxt: _Step | None = None) -> _Step:
+    """A last step: any binding reaching it raises ``message``."""
+    def run(slots: list) -> None:
+        raise DatalogError(message)
+    return run
+
+
+def _plan(rule: Rule, source: _Source,
+          store: ValueStore) -> Callable[[], list[Row]]:
+    """Compile ``rule`` against one stage's row sets.
+
+    Returns a callable producing the head id-tuple of every satisfying
+    binding (one entry per binding, as the oracle derives them)."""
+    initial: list = []           # slot values: constant ids, None for variables
+    bound: dict[str, int] = {}   # variable name -> slot
+    constants: dict[int, int] = {}
+
+    def slot_of(term) -> int | None:
+        if isinstance(term, DVar):
+            return bound.get(term.name)
+        vid = store.intern(term.value)
+        if vid not in constants:
+            constants[vid] = len(initial)
+            initial.append(vid)
+        return constants[vid]
+
+    def bind(name: str) -> int:
+        bound[name] = len(initial)
+        initial.append(None)
+        return bound[name]
+
+    steps: list[Callable[[_Step], _Step]] = []
+    remaining = list(rule.body)
+    while remaining:
+        index = _pick(remaining, bound, source)
+        if index is None:
+            steps.append(partial(
+                _fail, f"unsafe rule: no literal evaluable with bindings "
+                       f"{sorted(bound)} among {remaining!r}"))
+            break
+        literal = remaining.pop(index)
+        if isinstance(literal, BuiltinLiteral):
+            generated = _generator(literal, bound)
+            if generated is None:
+                steps.append(partial(
+                    _check, store, literal.op, slot_of(literal.left),
+                    slot_of(literal.right), literal.positive))
+            else:
+                origin = slot_of(generated[0])
+                make = _assign if literal.op == "=" else partial(
+                    _enumerate, store)
+                steps.append(partial(make, origin, bind(generated[1].name)))
+            continue
+        source_key, rows, pool = source(literal.predicate)
+        slots = [slot_of(term) for term in literal.terms]
+        if None not in slots:
+            steps.append(partial(_member, rows, slots, literal.positive))
+            continue
+        key_positions: list[int] = []
+        key_slots: list[int] = []
+        fresh: dict[str, int] = {}   # unbound variable -> first position
+        repeats: list[tuple[int, int]] = []
+        for position, (term, slot) in enumerate(zip(literal.terms, slots)):
+            if slot is not None:
+                key_positions.append(position)
+                key_slots.append(slot)
+            elif term.name in fresh:
+                repeats.append((position, fresh[term.name]))
+            else:
+                fresh[term.name] = position
+        first = len(initial)
+        for name in fresh:
+            bind(name)
+        binding = (first, tuple(fresh.values()), tuple(repeats))
+        if key_positions:
+            steps.append(partial(_probe, source_key, rows, pool,
+                                 tuple(key_positions), key_slots, *binding))
+        else:
+            steps.append(partial(_scan, rows, *binding))
+    out: list[Row] = []
+    head = [slot_of(term) for term in rule.head.terms]
+    if None in head:
+        run = _fail(f"head variable unbound by body in {rule!r}")
+    else:
+        head_of, append = _getter(head), out.append
+        run = lambda slots: append(head_of(slots))  # noqa: E731
+    for make in reversed(steps):
+        run = make(run)
+
+    def execute() -> list[Row]:
+        run(list(initial))
+        return out
+
+    return execute
+
+
+class _InternedEngine:
+    """Per-evaluation state of the semi-naive engine: the EDB interned
+    on first read (with its :class:`ValueStore`), the persistent EDB
+    index pool and the delta rewriting."""
+
+    def __init__(self, program: Program, inst: Instance, tracer):
+        self.program = program
+        self.edb = InternedInstance(inst)
+        self.store = self.edb.store
+        self.tracer = tracer
+        self.edb_pool = IndexPool(tracer)
+        self.delta_rules = _delta_rules(program)
+
+    def fire(self, rules, idb: Mapping[str, set | frozenset],
+             idb_pool: IndexPool,
+             delta: Mapping[str, set] | None = None) -> dict[str, set[Row]]:
+        """Fire ``rules`` once, each through a plan compiled for this
+        stage; collect the head rows (including rows already in
+        ``idb``).  ``Δ::P`` reads ``delta[P]`` through a fresh pool."""
+        tracer = self.tracer
+        edb, edb_pool = self.edb, self.edb_pool
+        delta_pool = IndexPool(tracer)
+
+        def source(predicate: str) -> tuple:
+            if predicate.startswith(_DELTA):
+                assert delta is not None
+                return (predicate, delta[predicate[len(_DELTA):]],
+                        delta_pool)
+            if predicate in idb:
+                return predicate, idb[predicate], idb_pool
+            return predicate, edb.rows(predicate), edb_pool
+
+        derived: dict[str, set[Row]] = {name: set() for name in idb}
+        for rule in rules:
+            tracer.heartbeat()
+            predicate = rule.head.predicate
+            _tally(derived[predicate], _plan(rule, source, self.store)(),
+                   idb[predicate], tracer)
+        return derived
+
+    def inflationary(self, idb: dict[str, set[Row]],
+                     max_stages: int | None = None) -> Iterator[None]:
+        """Run the inflationary iteration, growing ``idb`` (one empty
+        set per predicate on entry) in place; yield after every stage
+        that added rows.
+
+        The first stage fires every rule, later ones only the delta
+        variants against the previous stage's fresh rows.  One pool
+        indexes the IDB for the whole run: fresh rows are appended to
+        its indexes.  Emits the stage events and counters of
+        :func:`repro.core.fixpoint.iterate_ifp_delta`.
+        ``datalog.delta_rows`` counts the fresh rows a stage contributes;
+        ``datalog.refires_avoided`` counts, per delta stage, the rows
+        already settled in the IDB — each is at least one re-derivation
+        the naive engine would perform and this stage skips.
+        """
+        tracer = self.tracer
+        pool = IndexPool(tracer)
+        rules, delta = self.program.rules, None
+        settled = count = 0
+        while True:
+            tracer.heartbeat()
+            derived = self.fire(rules, idb, pool, delta)
+            fresh = {name: rows - idb[name] for name, rows in derived.items()}
+            added = sum(len(rows) for rows in fresh.values())
+            count += 1
+            if tracer.enabled:
+                tracer.count("datalog.delta_rows", added)
+                if settled:
+                    tracer.count("datalog.refires_avoided", settled)
+                size = settled + added
+                tracer.event("ifp.stage", stage=count, size=size,
+                             delta=added)
+                tracer.count("ifp.stages")
+                tracer.observe("space.ifp.stage_rows", size)
+                tracer.gauge_max("space.peak_fixpoint_rows", size)
+            if not added:
+                return
+            for name, rows in fresh.items():
+                if rows:
+                    idb[name] |= rows
+                    pool.append(name, rows)
+            settled += added
+            yield
+            if max_stages is not None and count >= max_stages:
+                raise FixpointError(
+                    f"IFP did not converge within {max_stages} stages"
+                )
+            rules, delta = self.delta_rules, fresh
+
+    def partial_stage(self, packed: frozenset) -> frozenset:
+        """One PFP stage over the packed state: every rule, with a fresh
+        IDB pool (the stage replaces the IDB)."""
+        return _pack(self.fire(self.program.rules,
+                               _unpack(packed, self.program),
+                               IndexPool(self.tracer)))
+
+    def unintern_result(
+        self, result: Mapping[str, set[Row] | frozenset[Row]]
+    ) -> dict[str, frozenset[Row]]:
+        return {
+            name: frozenset(self.store.unintern_row(row) for row in rows)
+            for name, rows in result.items()
+        }
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+def _check_body(program: Program, inst: Instance) -> None:
+    """Reject unknown relations and wrong-arity body literals up front,
+    so join order never decides whether a malformed program raises."""
+    for rule in program.rules:
+        for literal in rule.body:
+            if not isinstance(literal, Literal):
+                continue
+            declared = program.idb_types.get(literal.predicate)
+            arity = (len(declared) if declared is not None
+                     else inst.relation(literal.predicate).schema.arity)
+            if len(literal.terms) != arity:
+                raise DatalogError(
+                    f"arity mismatch matching {literal!r} against a "
+                    f"relation of arity {arity}"
+                )
+
+
+def _prepare(program: Program, inst: Instance, strategy: str,
+             tracer) -> _InternedEngine | None:
+    """Validate the inputs; the semi-naive engine's state, or None for
+    the naive oracle."""
     check_strategy(strategy)
+    _check_body(program, inst)
     if strategy == "naive":
-        return (lambda idb: _Database(inst, idb, program)), None
-    engine = _InternedEngine(program, inst, tracer)
-    return engine.database, engine
+        return None
+    return _InternedEngine(program, inst, tracer)
 
 
-def _publish(final: frozenset, program: Program,
+def _oracle(program: Program, inst: Instance) -> _DbFactory:
+    return lambda idb: _Database(inst, idb, program)
+
+
+def _publish(result: Mapping[str, set[Row] | frozenset[Row]],
              engine: _InternedEngine | None, tracer, span
              ) -> dict[str, frozenset[Row]]:
-    """Decode the final packed state and report its sizes."""
-    span.set(rows=len(final))
-    result = _unpack(final, program)
+    """Decode the final IDB and report its sizes."""
+    span.set(rows=sum(len(rows) for rows in result.values()))
     if engine is not None:
         result = engine.unintern_result(result)
         if tracer.enabled:
@@ -528,7 +815,7 @@ def _publish(final: frozenset, program: Program,
     if tracer.enabled:
         for name in sorted(result):
             tracer.gauge(f"space.idb[{name}]", len(result[name]))
-    return result
+    return dict(result)
 
 
 def evaluate_inflationary(
@@ -538,25 +825,25 @@ def evaluate_inflationary(
 ) -> dict[str, frozenset[Row]]:
     """Inflationary semantics: ``J_i = T(J_{i-1}) ∪ J_{i-1}``.
 
-    ``strategy="seminaive"`` (default) fires delta-rewritten rules over
-    interned ids with indexed joins after the first stage;
-    ``strategy="naive"`` re-fires every rule against the full IDB each
-    stage, over nested values.  Both produce identical results, stage
-    counts and derivation counters (see the module docstring).
+    ``strategy="seminaive"`` (default) fires delta-rewritten rules
+    through per-stage join plans over interned ids after the first
+    stage; ``strategy="naive"`` re-fires every rule against the full
+    IDB each stage, over nested values.  Both produce identical results
+    and stage sequences (see the module docstring).
     """
     tracer = get_tracer()
     with tracer.span("datalog.inflationary",
                      idb=sorted(program.idb_types),
                      strategy=strategy) as span:
-        make_db, engine = _factory(program, inst, strategy, tracer)
-        if strategy == "seminaive":
-            final = iterate_ifp_delta(
-                _seminaive_stage(program, make_db, _delta_rules(program)),
-                max_stages, tracer)
-        else:
-            final = iterate_ifp(_naive_stage(program, make_db),
+        engine = _prepare(program, inst, strategy, tracer)
+        if engine is None:
+            final = iterate_ifp(_naive_stage(program, _oracle(program, inst)),
                                 max_stages, tracer)
-        return _publish(final, program, engine, tracer, span)
+            return _publish(_unpack(final, program), None, tracer, span)
+        idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
+        for _ in engine.inflationary(idb, max_stages):
+            pass
+        return _publish(idb, engine, tracer, span)
 
 
 def evaluate_partial(
@@ -568,8 +855,9 @@ def evaluate_partial(
 
     Raises :class:`repro.core.fixpoint.PFPDivergenceError` on cycles.
     The stage *replaces* the IDB, so there is no delta to exploit: both
-    strategies fire every rule each stage, ``"seminaive"`` over interned
-    ids.  Interning is a bijection on the values in play, so the state
+    strategies fire every rule each stage, ``"seminaive"`` through join
+    plans over interned ids with a fresh IDB index pool per stage.
+    Interning is a bijection on the values in play, so the state
     sequence — and hence any divergence period and stage — coincides
     with the naive oracle's.
     """
@@ -577,10 +865,11 @@ def evaluate_partial(
     with tracer.span("datalog.partial",
                      idb=sorted(program.idb_types),
                      strategy=strategy) as span:
-        make_db, engine = _factory(program, inst, strategy, tracer)
-        final = iterate_pfp(_naive_stage(program, make_db),
-                            max_stages, tracer)
-        return _publish(final, program, engine, tracer, span)
+        engine = _prepare(program, inst, strategy, tracer)
+        stage = (_naive_stage(program, _oracle(program, inst))
+                 if engine is None else engine.partial_stage)
+        final = iterate_pfp(stage, max_stages, tracer)
+        return _publish(_unpack(final, program), engine, tracer, span)
 
 
 def inflationary_stages(
@@ -592,14 +881,13 @@ def inflationary_stages(
     The stage sequence is strategy-independent; exposing the parameter
     lets the differential tests assert exactly that.
     """
-    from ..core.fixpoint import ifp_delta_stages, ifp_stages
-
-    make_db, engine = _factory(program, inst, strategy, get_tracer())
-    if strategy == "seminaive":
-        packed_stages = ifp_delta_stages(
-            _seminaive_stage(program, make_db, _delta_rules(program)))
-    else:
-        packed_stages = ifp_stages(_naive_stage(program, make_db))
-    for packed in packed_stages:
-        stage = _unpack(packed, program)
-        yield engine.unintern_result(stage) if engine is not None else stage
+    engine = _prepare(program, inst, strategy, get_tracer())
+    if engine is None:
+        for packed in ifp_stages(_naive_stage(program,
+                                              _oracle(program, inst))):
+            yield _unpack(packed, program)
+        return
+    idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
+    yield engine.unintern_result(idb)
+    for _ in engine.inflationary(idb):
+        yield engine.unintern_result(idb)

@@ -63,6 +63,12 @@ def value_to_json(value: Value) -> Any:
 
 def value_from_json(document: Any) -> Value:
     """Parse the tagged JSON form back to a complex object."""
+    return _decode(document, {})
+
+
+def _decode(document: Any, atoms: dict[str | int, Atom]) -> Value:
+    """:func:`value_from_json`, building one :class:`Atom` per label in
+    ``atoms``: an instance document names each atom many times."""
     if not isinstance(document, dict) or len(document) != 1:
         raise SerializationError(
             f"expected a one-key tagged object, got {document!r}"
@@ -71,15 +77,18 @@ def value_from_json(document: Any) -> Value:
     if tag == "a":
         if not isinstance(payload, (str, int)) or isinstance(payload, bool):
             raise SerializationError(f"bad atom label {payload!r}")
-        return Atom(payload)
+        atom = atoms.get(payload)
+        if atom is None:
+            atom = atoms[payload] = Atom(payload)
+        return atom
     if tag == "t":
         if not isinstance(payload, list) or not payload:
             raise SerializationError(f"bad tuple payload {payload!r}")
-        return CTuple(value_from_json(item) for item in payload)
+        return CTuple(_decode(item, atoms) for item in payload)
     if tag == "s":
         if not isinstance(payload, list):
             raise SerializationError(f"bad set payload {payload!r}")
-        return CSet(value_from_json(element) for element in payload)
+        return CSet(_decode(element, atoms) for element in payload)
     raise SerializationError(f"unknown tag {tag!r}")
 
 
@@ -132,9 +141,10 @@ def instance_from_json(document: Any) -> Instance:
             "instance document needs 'schema' and 'data'"
         ) from None
     rows: dict[str, list] = {}
+    atoms: dict[str | int, Atom] = {}
     for name, encoded_rows in data.items():
         rows[name] = [
-            CTuple(value_from_json(item) for item in encoded_row)
+            CTuple(_decode(item, atoms) for item in encoded_row)
             for encoded_row in encoded_rows
         ]
     return Instance(schema, rows)

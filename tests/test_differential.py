@@ -38,6 +38,7 @@ from repro.core.evaluation import Evaluator, active_atoms, evaluate
 from repro.core.fixpoint import PFPDivergenceError
 from repro.core.typecheck import check_query
 from repro.datalog import (
+    Program,
     evaluate_inflationary,
     evaluate_partial,
     inflationary_stages,
@@ -339,6 +340,137 @@ class TestRandomDatalog:
     @given(program=datalog_programs(), inst=flat_graph_instances())
     def test_strategies_agree_deep(self, program, inst):
         assert_datalog_strategies_agree(program, inst)
+
+
+# ---------------------------------------------------------------------------
+# Join plans: index lifetimes and where errors surface
+# ---------------------------------------------------------------------------
+# The semi-naive lane keeps IDB indexes for a whole inflationary run and
+# appends each stage's fresh rows to them, while partial semantics gets
+# a fresh IDB pool per stage.  Each case below probes an IDB literal on a
+# bound key, so a stale index changes what the lane derives.
+
+def _rules(*rules: str) -> Program:
+    """A program over IDB ``T[U,U]`` (and ``Q[U,U]``) from rule texts."""
+    from repro.datalog import parse_program
+
+    program, _ = parse_program(
+        "idb T(U, U).\nidb Q(U, U).\n" + "\n".join(rules))
+    return program
+
+
+#: Right-linear TC: ``T`` is probed on its first position whenever the
+#: plan scans ``G`` first (every stage in which ``|G| <= |T|``).
+RIGHT_TC = ("T(x, y) :- G(x, y).", "T(x, y) :- G(x, z), T(z, y).")
+#: Doubling TC: each delta variant probes the full ``T`` on ``z``.
+DOUBLING_TC = ("T(x, y) :- G(x, y).", "T(x, y) :- T(x, z), T(z, y).")
+#: Pairs sharing a reachable node: ``T`` probed on ``z``.
+SHARED = RIGHT_TC + ("Q(a, b) :- T(a, z), T(b, z), a != b.",)
+
+
+def _run_counters(run, *names: str) -> tuple:
+    """The answer of ``run()`` and the named counters."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        answer = run()
+    return answer, [tracer.counters.get(name) for name in names]
+
+
+#: Under partial semantics both lanes fire every rule every stage.
+PARTIAL_COUNTERS = ("pfp.stages", "datalog.rows_derived",
+                    "datalog.dedup_hits")
+
+
+class TestIndexLifetimes:
+    @pytest.mark.parametrize("rules", [RIGHT_TC, SHARED],
+                             ids=["right-tc", "shared"])
+    def test_partial_gets_a_fresh_idb_pool_per_stage(self, rules):
+        program, inst = _rules(*rules), chain_graph(6)
+        naive = _run_counters(
+            lambda: evaluate_partial(program, inst, strategy="naive"),
+            *PARTIAL_COUNTERS)
+        seminaive = _run_counters(
+            lambda: evaluate_partial(program, inst, strategy="seminaive"),
+            *PARTIAL_COUNTERS)
+        assert len(naive[0]["T"]) == 15
+        assert naive == seminaive
+
+    def test_inflationary_appends_fresh_rows_to_idb_indexes(self):
+        program, inst = _rules(*DOUBLING_TC), chain_graph(8)
+        naive = _run_counters(
+            lambda: evaluate_inflationary(program, inst, strategy="naive"),
+            "ifp.stages")
+        seminaive = _run_counters(
+            lambda: evaluate_inflationary(program, inst,
+                                          strategy="seminaive"),
+            "ifp.stages")
+        assert len(naive[0]["T"]) == 28
+        assert naive == seminaive
+
+    def test_inflationary_stages_see_appended_rows(self):
+        program, inst = _rules(*DOUBLING_TC), chain_graph(8)
+        assert (list(inflationary_stages(program, inst, strategy="naive"))
+                == list(inflationary_stages(program, inst,
+                                            strategy="seminaive")))
+
+
+def _graph_with_h(g_rows, e_rows):
+    from repro.objects import database_schema, instance
+
+    schema = database_schema(G=["U", "U"], E=["U"], H=["U", "U"])
+    return instance(schema, G=g_rows, E=e_rows, H=[("a", "b")])
+
+
+#: Every entry point, run to completion.
+ENTRY_POINTS = [
+    pytest.param(lambda p, i, s: evaluate_inflationary(p, i, strategy=s),
+                 id="inflationary"),
+    pytest.param(lambda p, i, s: evaluate_partial(p, i, strategy=s),
+                 id="partial"),
+    pytest.param(lambda p, i, s: list(inflationary_stages(p, i, strategy=s)),
+                 id="stages"),
+]
+
+
+class TestErrorsDoNotDependOnJoinOrder:
+    """Malformed programs raise before the first stage and unsafe bodies
+    raise exactly when a binding reaches them — on both lanes, whatever
+    order the join takes."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("strategy", ("naive", "seminaive"))
+    def test_unknown_relation_behind_an_empty_join(self, entry, strategy):
+        from repro.objects import SchemaError
+
+        program = _rules("Q(x, x) :- G(x, y), Zzz(x).")
+        with pytest.raises(SchemaError):
+            entry(program, _graph_with_h([], []), strategy)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("strategy", ("naive", "seminaive"))
+    def test_wrong_arity_behind_an_empty_join(self, entry, strategy):
+        from repro.datalog import DatalogError
+
+        program = _rules("Q(x, x) :- G(x, y), H(x, 'a', 'b').")
+        with pytest.raises(DatalogError, match="arity"):
+            entry(program, _graph_with_h([], []), strategy)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_unsafe_only_past_an_empty_join(self, entry):
+        from repro.datalog import DatalogError
+
+        # `w` is bound by nothing: unsafe once G ⋈ E has a binding.
+        program = _rules("Q(x, y) :- G(x, y), E(y), not H(x, w).")
+        quiet = _graph_with_h([("a", "b")], [("c",)])
+        assert (entry(program, quiet, "naive")
+                == entry(program, quiet, "seminaive"))
+        loud = _graph_with_h([("a", "b")], [("b",)])
+        messages = []
+        for strategy in ("naive", "seminaive"):
+            with pytest.raises(DatalogError, match="unsafe rule") as error:
+                entry(program, loud, strategy)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.core.evaluation import evaluate
 from repro.core.fixpoint import (
     FixpointError,
     PFPDivergenceError,
-    ifp_delta_stages,
     ifp_stages,
     iterate_ifp,
     iterate_ifp_delta,
@@ -114,12 +113,6 @@ class TestDeltaEngine:
         # fresh row of the previous stage.
         assert deltas[0] == frozenset()
         assert deltas[1:] == [frozenset({(n,)}) for n in range(6)]
-
-    def test_stage_sequences_match_naive(self):
-        naive = list(ifp_stages(self._counter_stage()))
-        deltas = []
-        delta = list(ifp_delta_stages(self._counter_delta_stage(deltas)))
-        assert naive == delta
 
     def test_max_stage_guard(self):
         def stage(current, delta):

@@ -75,6 +75,20 @@ class TestSchemaAndInstance:
         with pytest.raises(SerializationError):
             instance_from_json({"data": {}})
 
+    def test_decoding_builds_one_atom_per_label(self):
+        """An instance document names each atom many times; decoding
+        builds one object per label, shared by every row and set."""
+        schema = database_schema(R=["U", "{U}"], S=["U"])
+        a, b = atom("a"), atom("b")
+        document = instance_to_json(instance(
+            schema, R=[(a, cset(a, b)), (b, cset(a))], S=[(a,)]))
+        decoded = instance_from_json(document)
+        occurrences = [value for rel in decoded.relations()
+                       for row in rel for value in row.subobjects()
+                       if value.atoms() == frozenset({value})]
+        assert len(occurrences) == 6
+        assert len({id(value) for value in occurrences}) == 2
+
 
 class TestCLI:
     @pytest.fixture

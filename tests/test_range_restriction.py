@@ -251,6 +251,51 @@ class TestRangeFunctions:
         assert report.answer == frozenset()
 
 
+#: Prints the counters of ``rr-vs-active``'s rr point at n=8 (Example
+#: 5.1's nest query under derived ranges) as one JSON line.
+_RR_POINT = """
+import json
+from repro.bench.registry import SUITES
+from repro.obs import Tracer, use_tracer
+tracer = Tracer()
+with use_tracer(tracer):
+    SUITES["rr-vs-active"].run(8, "rr")
+print(json.dumps(tracer.counters, sort_keys=True))
+"""
+
+
+class TestCanonicalRangeOrder:
+    """Quantifiers walk derived ranges in one canonical order, so the
+    range-restricted work counters do not depend on set iteration
+    order (which varies with the hash seed and from run to run)."""
+
+    def test_ranges_are_listed_in_canonical_order(self, p_instance):
+        from repro.objects import value_sort_key
+
+        ranges = compute_ranges(nest_query(), p_instance)
+        assert ranges
+        for name, values in ranges.items():
+            assert values == sorted(set(values), key=value_sort_key), name
+
+    def test_rr_counters_do_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run([sys.executable, "-c", _RR_POINT],
+                                    env=env, capture_output=True,
+                                    text=True, check=True)
+            outputs.add(result.stdout.strip())
+        assert len(outputs) == 1, outputs
+
+
 class TestManyQueriesAgree:
     """Semantic check of Theorem 5.1 across a battery of RR queries."""
 

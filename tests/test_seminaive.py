@@ -109,6 +109,69 @@ class TestDatalogDerivationCounts:
                 > small["datalog.refires_avoided"])
 
 
+#: Semi-naive work per ``.dl`` inventory question at scale 1
+#: (``GOLDEN_SEED``): ``(datalog.rows_derived, datalog.delta_rows,
+#: datalog.dedup_hits, datalog.refires_avoided, ifp.stages)``.  The
+#: rows derived are the satisfying bindings of each fired rule body, so
+#: none of these depends on the order a join plan takes.
+SEMINAIVE_WORK = {
+    "parts-electronics": (8, 8, 0, 8, 2),
+    "cert-iso9001": (13, 13, 0, 13, 2),
+    "dual-cert": (3, 3, 0, 3, 2),
+    "uncertified-parts": (10, 10, 0, 10, 2),
+    "tier1-suppliers": (1, 1, 0, 1, 2),
+    "suppliers-of-part": (2, 2, 0, 2, 2),
+    "apex-components": (3, 3, 0, 3, 2),
+    "customers-emea": (1, 1, 0, 1, 2),
+    "orders-of-customer": (10, 10, 0, 10, 2),
+    "parts-ordered-emea": (9, 9, 0, 9, 2),
+    "low-stock": (34, 34, 0, 34, 2),
+    "electronics-suppliers": (16, 5, 11, 5, 2),
+    "co-suppliers": (80, 20, 60, 20, 2),
+    "itar-suppliers": (16, 5, 11, 5, 2),
+    "high-stock-assemblies": (8, 7, 1, 7, 2),
+    "bom-closure": (102, 102, 0, 216, 4),
+    "bom-explosion-apex": (39, 39, 0, 54, 4),
+    "where-used-leaf": (3, 3, 0, 6, 4),
+    "upstream-of-s0000": (6, 4, 2, 6, 3),
+    "supplier-network-closure": (10, 8, 2, 14, 3),
+    "itar-exposure": (24, 17, 7, 41, 4),
+    "reach-exposed-customers": (67, 27, 40, 88, 5),
+    "apex-component-suppliers": (117, 44, 73, 63, 4),
+    "shared-subcomponents": (282, 144, 138, 384, 5),
+}
+
+
+def _question_counters(name: str, scale: int) -> dict:
+    inst = supply_chain_instance(scale, GOLDEN_SEED)
+    return _counters(lambda: answer_question(question_by_name(name), inst))
+
+
+class TestQuestionWork:
+    def test_every_datalog_question_is_pinned(self):
+        from repro.workloads import QUESTIONS
+
+        assert sorted(SEMINAIVE_WORK) == sorted(
+            q.name for q in QUESTIONS if q.kind == "datalog")
+
+    @pytest.mark.parametrize("name", sorted(SEMINAIVE_WORK))
+    def test_seminaive_work_at_scale_1(self, name):
+        counters = _question_counters(name, 1)
+        assert tuple(counters.get(counter, 0) for counter in (
+            "datalog.rows_derived", "datalog.delta_rows",
+            "datalog.dedup_hits", "datalog.refires_avoided",
+            "ifp.stages")) == SEMINAIVE_WORK[name]
+
+    def test_where_used_leaf_probes_do_not_grow_with_scale(self):
+        """The delta variant ``A(x) :- BOM(x, z), Δ::A(z)`` scans the
+        delta and probes ``BOM`` on ``z``, so the index work follows
+        the 3 rows derived, not the size of ``BOM``."""
+        small = _question_counters("where-used-leaf", 8)
+        large = _question_counters("where-used-leaf", 32)
+        assert small["eval.index_probes"] == large["eval.index_probes"]
+        assert small["datalog.rows_derived"] == 3
+
+
 class TestCalcDeltaCounters:
     def _counters(self, n: int, strategy: str) -> dict:
         tracer = Tracer()
