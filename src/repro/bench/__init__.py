@@ -9,7 +9,7 @@ ratios and classifies each curve poly-vs-superpolynomial;
 :mod:`repro.bench.report` renders the result and regression-gates it
 against a committed ``schema: 1`` baseline; and
 :mod:`repro.bench.trend` stitches the per-PR ``BENCH_PR<N>.json``
-documents into cross-PR trajectories.  The CLI front end is
+documents (all ``schema: 1``) into cross-PR trajectories.  The CLI front end is
 ``repro bench``.
 
 Typical use::
@@ -59,11 +59,8 @@ from .shard import PointTask, run_sharded, run_tasks, strip_timing
 from .trend import (
     TrendError,
     build_trend,
-    convert_legacy,
-    is_legacy,
     label_for_path,
     load_documents,
-    migrated_path,
     render_trend,
 )
 
@@ -100,11 +97,8 @@ __all__ = [
     "diff_against_baseline",
     "document_failures",
     "TrendError",
-    "is_legacy",
-    "convert_legacy",
     "label_for_path",
     "load_documents",
-    "migrated_path",
     "build_trend",
     "render_trend",
 ]

@@ -11,14 +11,8 @@ Two jobs:
   counters (rows derived, stages, delta rows — never wall seconds,
   which do not compare across machines) are checked point-by-point
   against a committed ``schema: 1`` baseline within each suite's
-  declared :class:`~repro.bench.registry.Tolerance`.
-
-The pre-observatory flat ``BENCH_PR3.json`` baseline layout is
-**retired** here: :func:`diff_against_baseline` raises
-:class:`LegacyBaselineError` for it, pointing at ``repro bench --trend
-FILE --migrate``, which rewrites a legacy document in the ``schema: 1``
-layout (the trend tool keeps the only remaining legacy parser, since
-trajectories must reach back to PR 3).
+  declared :class:`~repro.bench.registry.Tolerance`.  A baseline in
+  any other layout raises :class:`LegacyBaselineError`.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ __all__ = [
 
 
 class LegacyBaselineError(Exception):
-    """A baseline in the retired pre-schema-1 flat layout."""
+    """A baseline that is not a ``schema: 1`` observatory document."""
 
 
 def _format_seconds(seconds: float) -> str:
@@ -154,9 +148,8 @@ def diff_against_baseline(
     """
     if "suites" not in baseline:
         raise LegacyBaselineError(
-            "baseline is in the retired pre-schema-1 flat layout; "
-            "rewrite it with: repro bench --trend FILE --migrate"
-        )
+            "baseline is not a schema-1 observatory document "
+            "(no 'suites' object)")
     breaches: list[str] = []
     by_name = {suite.name: suite for suite in suites}
     for name, suite_doc in document.get("suites", {}).items():

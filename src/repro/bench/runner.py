@@ -2,11 +2,11 @@
 fit curves, evaluate expectations and gates.
 
 Each point runs under a fresh :class:`repro.obs.Tracer`, so the flat
-counters *and* the typed metrics (histograms of per-stage cardinalities,
-peak gauges, deep node counts) are per-point — exactly the series the
-fits consume.  Wall time is ``perf_counter`` around the suite's ``run``
-callable; peak allocated bytes via ``tracemalloc`` are opt-in (the
-tracing itself roughly doubles runtimes).
+counters and gauges (rows derived, peak working sets, deep node counts)
+and the histograms of per-stage cardinalities are per-point — exactly
+the series the fits consume.  Wall time is ``perf_counter`` around the
+suite's ``run`` callable; the traced memory peak is opt-in through
+span-level attribution (``memory=True``, roughly doubling runtimes).
 
 Measurement and document assembly are split so the sharded parallel
 runner (:mod:`repro.bench.shard`) can farm points out to worker
@@ -27,7 +27,6 @@ import time
 from typing import Any
 
 from ..obs import Tracer, use_tracer
-from ..obs.metrics import tracemalloc_peak
 from .fit import (
     Classification,
     bound_value,
@@ -56,7 +55,6 @@ class BenchError(Exception):
 
 
 def run_point(suite: Suite, n: int, strategy: str,
-              tracemalloc: bool = False,
               memory: bool = False,
               stream: Any = None) -> dict[str, Any]:
     """Measure one (suite, size, strategy) point under a fresh tracer.
@@ -72,35 +70,16 @@ def run_point(suite: Suite, n: int, strategy: str,
     partial trace (:func:`repro.obs.replay_stream`).
     """
     tracer = Tracer(memory=memory, stream=stream)
-    if memory:
-        # The attributor resets tracemalloc's peak at every span
-        # boundary, so the global peak tracemalloc_peak() reads is
-        # meaningless here; the root span's propagated peak is the
-        # correct whole-run figure.
-        start = time.perf_counter()
-        with use_tracer(tracer):
-            result = suite.run(n, strategy)
-        seconds = time.perf_counter() - start
-        tracer.close()
-        peak_bytes = tracer.root.peak_bytes if tracemalloc else None
-        if tracer.root.peak_bytes is not None:
-            tracer.counters["space.traced_peak"] = tracer.root.peak_bytes
-    elif tracemalloc:
-        with tracemalloc_peak() as peak:
-            start = time.perf_counter()
-            with use_tracer(tracer):
-                result = suite.run(n, strategy)
-            seconds = time.perf_counter() - start
-        tracer.close()
-        peak_bytes = peak.bytes
-    else:
-        start = time.perf_counter()
-        with use_tracer(tracer):
-            result = suite.run(n, strategy)
-        seconds = time.perf_counter() - start
-        peak_bytes = None
+    start = time.perf_counter()
+    with use_tracer(tracer):
+        result = suite.run(n, strategy)
+    seconds = time.perf_counter() - start
     tracer.close()
-    point: dict[str, Any] = {
+    if tracer.root.peak_bytes is not None:
+        # The attributor resets tracemalloc's peak at every span
+        # boundary; the root span's propagated peak is the whole run's.
+        tracer.counters["space.traced_peak"] = tracer.root.peak_bytes
+    return {
         "n": n,
         "strategy": strategy,
         "seconds": seconds,
@@ -111,9 +90,6 @@ def run_point(suite: Suite, n: int, strategy: str,
             for name, histogram in tracer.metrics.histograms()
         },
     }
-    if peak_bytes is not None:
-        point["tracemalloc_peak_bytes"] = peak_bytes
-    return point
 
 
 def failed_point(n: int, strategy: str, error: str) -> dict[str, Any]:
@@ -153,9 +129,9 @@ def series(points: list[dict[str, Any]], strategy: str,
            metric: str) -> tuple[list[int], list[float]]:
     """The (sizes, values) series of one metric for one strategy.
 
-    ``metric`` is ``"seconds"``, ``"tracemalloc_peak_bytes"``, or a
-    counter name; missing counters read as 0.  Failed points contribute
-    nothing (they have no measurements, not zero-valued ones).
+    ``metric`` is ``"seconds"``, ``"checksum"``, or a counter name;
+    missing counters read as 0.  Failed points contribute nothing (they
+    have no measurements, not zero-valued ones).
     """
     xs: list[int] = []
     ys: list[float] = []
@@ -163,7 +139,7 @@ def series(points: list[dict[str, Any]], strategy: str,
         if point["strategy"] != strategy or point.get("failed"):
             continue
         xs.append(point["n"])
-        if metric in ("seconds", "tracemalloc_peak_bytes", "checksum"):
+        if metric in ("seconds", "checksum"):
             ys.append(float(point.get(metric) or 0.0))
         else:
             ys.append(float(point["counters"].get(metric, 0)))
@@ -307,17 +283,13 @@ def run_suite(
     suite: Suite,
     sizes: tuple[int, ...] | None = None,
     strategies: tuple[str, ...] | None = None,
-    tracemalloc: bool = False,
     memory: bool = False,
     stream: Any = None,
 ) -> dict[str, Any]:
     """Run one suite serially; returns its JSON-safe result document."""
     specs = point_specs(suite, sizes, strategies)
-    points = [
-        run_point(suite, n, strategy, tracemalloc, memory=memory,
-                  stream=stream)
-        for n, strategy in specs
-    ]
+    points = [run_point(suite, n, strategy, memory=memory, stream=stream)
+              for n, strategy in specs]
     return build_suite_document(suite, sizes or suite.sizes,
                                 strategies or suite.strategies, points)
 
@@ -345,7 +317,6 @@ def run_suites(
     suites: list[Suite],
     sizes: tuple[int, ...] | None = None,
     strategy: str | None = None,
-    tracemalloc: bool = False,
     jobs: int = 1,
     point_timeout: float | None = None,
     memory: bool = False,
@@ -373,7 +344,7 @@ def run_suites(
         for suite, strategies in plan:
             documents[suite.name] = run_suite(
                 suite, sizes=sizes, strategies=strategies,
-                tracemalloc=tracemalloc, memory=memory, stream=stream)
+                memory=memory, stream=stream)
     else:
         if stream is not None:
             raise BenchError(
@@ -381,9 +352,8 @@ def run_suites(
                 "stream through their result pipes instead")
         from .shard import run_sharded
 
-        documents = run_sharded(plan, sizes=sizes, tracemalloc=tracemalloc,
-                                jobs=jobs, point_timeout=point_timeout,
-                                memory=memory)
+        documents = run_sharded(plan, sizes=sizes, jobs=jobs,
+                                point_timeout=point_timeout, memory=memory)
     result: dict[str, Any] = {
         "schema": 1,
         "experiment": "repro-bench",

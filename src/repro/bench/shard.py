@@ -8,10 +8,10 @@ observatory wants:
 
 * **Resource telemetry.**  The worker's ``resource.getrusage`` peak RSS
   is *that point's* peak, not an accumulation over whatever the worker
-  ran before; it lands in the point's counters as ``space.rss_peak``
-  (and ``tracemalloc`` peaks mirror into ``space.traced_peak``), giving
-  every point an OS-level space measurement to set beside the engine's
-  own accounting.
+  ran before; it lands in the point's counters as ``space.rss_peak``,
+  giving every point an OS-level space measurement to set beside the
+  engine's own accounting (and, under ``memory=True``, the traced peak
+  ``space.traced_peak``).
 * **Hard timeouts.**  ``point_timeout`` is enforced by killing the
   worker (``terminate`` then ``kill``), not by abandoning it: a wedged
   point cannot poison later points or outlive the run.
@@ -53,8 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PointTask", "run_sharded", "run_tasks", "strip_timing"]
 
-#: One unit of work: (suite name, size, strategy, tracemalloc, memory).
-PointTask = tuple[str, int, str, bool, bool]
+#: One unit of work: (suite name, size, strategy, memory).
+PointTask = tuple[str, int, str, bool]
 
 #: Packages the registry's ``run`` callables import lazily that the CLI
 #: has not already loaded.  :func:`run_tasks` imports them before its
@@ -100,9 +100,9 @@ def _execute_task(task: PointTask, stream: Any = None) -> dict[str, Any]:
     from .registry import SUITES
     from .runner import run_point
 
-    suite_name, n, strategy, tracemalloc, memory = task
-    return run_point(SUITES[suite_name], n, strategy, tracemalloc,
-                     memory=memory, stream=stream)
+    suite_name, n, strategy, memory = task
+    return run_point(SUITES[suite_name], n, strategy, memory=memory,
+                     stream=stream)
 
 
 def _attach_resource_telemetry(point: dict[str, Any]) -> None:
@@ -114,11 +114,7 @@ def _attach_resource_telemetry(point: dict[str, Any]) -> None:
     rss = peak_rss_bytes()
     if rss is None:  # pragma: no cover - non-POSIX
         return
-    counters = point.setdefault("counters", {})
-    counters["space.rss_peak"] = rss
-    if point.get("tracemalloc_peak_bytes") is not None:
-        counters.setdefault("space.traced_peak",
-                            point["tracemalloc_peak_bytes"])
+    point.setdefault("counters", {})["space.rss_peak"] = rss
 
 
 def _point_worker(task: PointTask, conn: Connection) -> None:
@@ -232,7 +228,7 @@ def run_tasks(
             ready = connection_wait(list(running), timeout=wait_timeout)
             for receiver in ready:
                 index, task, process, _ = running[receiver]
-                _, n, strategy, _, _ = task
+                _, n, strategy, _ = task
                 try:
                     kind, payload = receiver.recv()
                 except EOFError:
@@ -266,7 +262,7 @@ def run_tasks(
                        if entry[3] is not None and entry[3] <= now]
             for receiver in expired:
                 index, task, process, _ = running.pop(receiver)
-                _, n, strategy, _, _ = task
+                _, n, strategy, _ = task
                 _hard_kill(process)
                 lines = streams.pop(receiver, [])
                 _drain_stream(receiver, lines)
@@ -286,7 +282,6 @@ def run_tasks(
 def run_sharded(
     plan: list[tuple[Suite, tuple[str, ...] | None]],
     sizes: tuple[int, ...] | None,
-    tracemalloc: bool,
     jobs: int,
     point_timeout: float | None,
     memory: bool = False,
@@ -307,7 +302,7 @@ def run_sharded(
             strategies or suite.strategies,
             len(specs),
         ))
-        tasks.extend((suite.name, n, strategy, tracemalloc, memory)
+        tasks.extend((suite.name, n, strategy, memory)
                      for n, strategy in specs)
     points = run_tasks(tasks, jobs, point_timeout)
     documents: dict[str, Any] = {}
@@ -320,8 +315,6 @@ def run_sharded(
     return documents
 
 
-#: Point fields that carry wall-clock measurements.
-_TIMING_POINT_FIELDS = ("seconds", "tracemalloc_peak_bytes")
 #: Counters measured from the worker process/allocator rather than the
 #: engine — machine- and isolation-dependent, so stripped alongside
 #: timing when comparing documents.
@@ -336,8 +329,8 @@ _TIMING_EXPECTATION_FIELDS = ("fit", "doubling_ratios", "ok", "max_degree",
 
 def strip_timing(document: dict[str, Any]) -> dict[str, Any]:
     """A deep copy of an observatory document with every wall-clock- or
-    machine-derived field removed: per-point ``seconds``/``tracemalloc``
-    bytes, the worker-resource counters (``space.rss_peak``,
+    machine-derived field removed: per-point ``seconds``, the
+    worker-resource counters (``space.rss_peak``,
     ``space.traced_peak``), per-strategy ``fits``, and the measured
     parts of ``seconds``-based gates and expectations.  Deterministic
     fields — engine counters, histograms, checksums, agreement,
@@ -351,8 +344,7 @@ def strip_timing(document: dict[str, Any]) -> dict[str, Any]:
     stripped = copy.deepcopy(document)
     for suite_doc in stripped.get("suites", {}).values():
         for point in suite_doc.get("points", ()):
-            for field in _TIMING_POINT_FIELDS:
-                point.pop(field, None)
+            point.pop("seconds", None)
             for counter in _MACHINE_COUNTERS:
                 point.get("counters", {}).pop(counter, None)
             if point.get("failed"):

@@ -1,12 +1,10 @@
 """Cross-PR trend reports: stitch per-PR observatory documents into
 per-suite trajectories.
 
-Each PR commits one ``BENCH_PR<N>.json``; this module loads any mix of
-those documents — the current ``schema: 1`` layout and the retired
-pre-observatory flat layout of ``BENCH_PR3.json`` (this is the **only**
-remaining parser for that layout; baselines now require ``schema: 1``,
-see :class:`repro.bench.report.LegacyBaselineError`) — aligns suites,
-strategies and counters across PRs, and reports:
+Each PR commits one ``BENCH_PR<N>.json`` in the ``schema: 1`` layout;
+this module loads any list of those documents (an input in another
+layout is a :class:`TrendError`), aligns suites, strategies and
+counters across PRs, and reports:
 
 * per-suite **trajectories**: one row per (metric, strategy) at the
   suite's headline size, one column per PR, with explicit holes
@@ -17,10 +15,6 @@ strategies and counters across PRs, and reports:
   checksums against exact equality.  Wall seconds are *never* flagged
   (they do not compare across machines) — they appear as informational
   rows only, so a clean trajectory means zero unexplained regressions.
-
-``convert_legacy`` rewrites a legacy document in the ``schema: 1``
-layout (CLI: ``repro bench --trend FILE --migrate``), which is the
-sanctioned path off the retired format.
 """
 
 from __future__ import annotations
@@ -33,36 +27,16 @@ from .registry import SUITES
 
 __all__ = [
     "TrendError",
-    "is_legacy",
-    "convert_legacy",
     "label_for_path",
     "load_documents",
     "build_trend",
     "render_trend",
-    "migrated_path",
 ]
 
 
 class TrendError(Exception):
     """A trend input that cannot be read as an observatory document."""
 
-
-#: Legacy flat-layout section name -> the registry suite it became.
-LEGACY_SECTION_SUITES = {
-    "datalog": "seminaive-smoke",
-    "calc_ifp": "calc-ifp-dense",
-    "algebra_loop": "algebra-loop",
-}
-
-#: Legacy per-strategy field name -> observatory counter name.
-LEGACY_FIELD_COUNTERS = {
-    "rows_derived": "datalog.rows_derived",
-    "dedup_hits": "datalog.dedup_hits",
-    "refires_avoided": "datalog.refires_avoided",
-    "stages": "ifp.stages",
-    "delta_rows": "eval.delta_rows",
-    "stage_skips": "eval.stage_skips",
-}
 
 #: Counters worth a trajectory row even without a declared tolerance.
 TREND_COUNTERS = (
@@ -78,70 +52,6 @@ TREND_COUNTERS = (
 )
 
 
-def is_legacy(document: dict[str, Any]) -> bool:
-    """True for the retired pre-schema-1 flat layout."""
-    return "suites" not in document
-
-
-def convert_legacy(document: dict[str, Any]) -> dict[str, Any]:
-    """Rewrite a legacy flat document in the ``schema: 1`` layout.
-
-    Sections map to the registry suites they became; per-strategy fields
-    become observatory counter names; ``closure_rows`` becomes the
-    point checksum.  Only measured facts are carried over — the legacy
-    scripts declared no expectations or gates, so none are fabricated.
-    """
-    suites: dict[str, Any] = {}
-    for section, suite_name in LEGACY_SECTION_SUITES.items():
-        entries = document.get(section)
-        if not isinstance(entries, list):
-            continue
-        points: list[dict[str, Any]] = []
-        sizes: list[int] = []
-        strategies: list[str] = []
-        for entry in entries:
-            n = entry.get("n")
-            if n is None:
-                continue
-            sizes.append(n)
-            for strategy, fields in entry.items():
-                if not isinstance(fields, dict):
-                    continue
-                if strategy not in strategies:
-                    strategies.append(strategy)
-                counters = {
-                    LEGACY_FIELD_COUNTERS.get(field, field): value
-                    for field, value in fields.items()
-                    if field != "seconds" and isinstance(value, (int, float))
-                }
-                points.append({
-                    "n": n,
-                    "strategy": strategy,
-                    "seconds": fields.get("seconds"),
-                    "checksum": entry.get("closure_rows"),
-                    "counters": counters,
-                    "histograms": {},
-                })
-        if points:
-            suite = SUITES.get(suite_name)
-            suites[suite_name] = {
-                "name": suite_name,
-                "title": suite.title if suite else section,
-                "sizes": sizes,
-                "strategies": strategies,
-                "points": points,
-                "fits": {},
-                "expectations": [],
-                "gates": [],
-            }
-    return {
-        "schema": 1,
-        "experiment": document.get("experiment", "repro-bench"),
-        "converted_from": "legacy-pr3-flat",
-        "suites": suites,
-    }
-
-
 def label_for_path(path: str) -> str:
     """``BENCH_PR3.json`` -> ``PR3``; otherwise the file stem."""
     import os
@@ -153,22 +63,13 @@ def label_for_path(path: str) -> str:
     return stem
 
 
-def migrated_path(path: str) -> str:
-    """Where ``--migrate`` writes the schema-1 rewrite of ``path``."""
-    import os
-
-    stem, _ = os.path.splitext(path)
-    return f"{stem}.schema1.json"
-
-
 def load_documents(paths: list[str]) -> list[dict[str, Any]]:
-    """Load and normalise trend inputs.
+    """Load trend inputs.
 
-    Returns one record per input: ``{"label", "path", "document",
-    "legacy"}`` with legacy documents already converted.  Inputs sort by
-    PR number when every label carries one (so shell-glob order —
-    ``PR10`` before ``PR3`` — cannot scramble the trajectory); otherwise
-    the given order is kept.
+    Returns one record per input: ``{"label", "path", "document"}``.
+    Inputs sort by PR number when every label carries one (so
+    shell-glob order — ``PR10`` before ``PR3`` — cannot scramble the
+    trajectory); otherwise the given order is kept.
     """
     import json
 
@@ -181,13 +82,11 @@ def load_documents(paths: list[str]) -> list[dict[str, Any]]:
                 raise TrendError(f"{path}: not JSON ({error})") from None
         if not isinstance(document, dict):
             raise TrendError(f"{path}: not an observatory document")
-        legacy = is_legacy(document)
-        records.append({
-            "label": label_for_path(path),
-            "path": path,
-            "document": convert_legacy(document) if legacy else document,
-            "legacy": legacy,
-        })
+        if "suites" not in document:
+            raise TrendError(f"{path}: not a schema-1 observatory "
+                             "document (no 'suites' object)")
+        records.append({"label": label_for_path(path), "path": path,
+                        "document": document})
     numbers = [re.fullmatch(r"PR(\d+)", record["label"])
                for record in records]
     if all(numbers):
@@ -362,8 +261,8 @@ def build_trend(records: list[dict[str, Any]],
         "schema": 1,
         "kind": "bench-trend",
         "prs": labels,
-        "inputs": [{"label": record["label"], "path": record["path"],
-                    "legacy": record["legacy"]} for record in records],
+        "inputs": [{"label": record["label"], "path": record["path"]}
+                   for record in records],
         "suites": suites,
         "regressions": regressions,
     }

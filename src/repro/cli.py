@@ -60,6 +60,7 @@ import os
 import re
 import sys
 import time
+from typing import Callable
 
 from .analysis.density import is_dense_witness, is_sparse_witness, log2_dom_ik
 from .analysis.statistics import instance_stats
@@ -261,33 +262,60 @@ def _run_query(args: argparse.Namespace, tracer) -> tuple[frozenset, str]:
                          strategy=strategy), "active")
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _traced_run(args: argparse.Namespace, *, trace: bool,
+                partial_tree: bool = False) -> tuple | None:
+    """Evaluate the query under a tracer: the one traced-run path of
+    ``query`` and ``profile``.
+
+    The tracer is live when ``trace`` asks for it, and also when a
+    ``--stream`` sink, the stall watchdog or the ledger needs it (the
+    record's headline counters come off it).  It is closed on every
+    exit, so a ``--stream`` segment always ends with the root's close
+    and the ``end`` record.  Returns ``(tracer, answer, mode_used,
+    seconds)``, or None once a not-range-restricted query under
+    ``--mode rr`` has been reported: a finding (exit 1), not a usage
+    error.  With ``partial_tree``, a run that raises prints its partial
+    tree (open spans aborted) to stderr before the traceback.
+    """
     with _stream_sink(args) as sink:
-        # A ledgered run needs a live tracer too: the record's headline
-        # counters (eval.*, space.*, stages) come off it.
-        tracing = (args.trace or args.stats or args.trace_json
-                   or sink is not None or _wants_watchdog(args)
-                   or _RECORDER is not None)
-        tracer = Tracer(stream=sink) if tracing else NULL_TRACER
+        live = (trace or sink is not None or _wants_watchdog(args)
+                or _RECORDER is not None)
+        tracer = (Tracer(memory=getattr(args, "memory", False), stream=sink)
+                  if live else NULL_TRACER)
         _record_tracer(tracer)
+        start = time.perf_counter()
         try:
             with use_tracer(tracer), _maybe_watchdog(args, tracer):
                 answer, mode_used = _run_query(args, tracer)
+            seconds = time.perf_counter() - start
         except RangeComputationError as error:
-            # args.mode == "rr" (other modes fall back inside
-            # _run_query): a not-RR query is a finding, not a usage
-            # error.
+            # Only --mode rr gets here: the other modes fall back inside
+            # _run_query.
             print(f"range-restricted evaluation failed: {error}",
                   file=sys.stderr)
             _record(outcome="error", error=str(error))
-            return EXIT_FINDINGS
-        except BaseException:
-            # Flush the stream (open spans aborted) before unwinding,
-            # so a failed run still leaves a replayable trace.
-            tracer.close()
+            return None
+        except Exception:
+            if partial_tree and tracer.root.children:
+                # Rendering closes the tracer, so the aborted spans are
+                # streamed before the tree is printed.
+                tree = render_tree(tracer, times=not args.no_times)
+                print("-- query failed; partial trace (open spans "
+                      "aborted):", file=sys.stderr)
+                print(tree, file=sys.stderr)
             raise
-        tracer.close()
+        finally:
+            tracer.close()
         _record(mode=mode_used, rows=len(answer))
+    return tracer, answer, mode_used, seconds
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    run = _traced_run(args, trace=bool(args.trace or args.stats
+                                       or args.trace_json))
+    if run is None:
+        return EXIT_FINDINGS
+    tracer, answer, _, _ = run
     stats_json = args.stats and args.format == "json"
     for row in sorted(answer, key=str):
         print(_format_row(row))
@@ -312,8 +340,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _stats_document(tracer: Tracer) -> dict:
-    """Counters + typed metrics as one machine-readable document
-    (``--format json`` for ``query --stats`` and ``profile``)."""
+    """Counters + histograms as one machine-readable document
+    (``query --stats --format json``)."""
     from .obs import metrics_to_json
 
     return {
@@ -323,16 +351,46 @@ def _stats_document(tracer: Tracer) -> dict:
     }
 
 
-def _emit_trace(tracer: Tracer, fmt: str, args: argparse.Namespace) -> None:
-    """Write an already-closed trace in an export format (chrome-trace or
-    flame) to stdout."""
+def _write_trace(tracer: Tracer, fmt: str, args: argparse.Namespace, *,
+                 extra: dict | None = None,
+                 text: Callable[[], str] | None = None) -> int:
+    """Write a closed trace to stdout as ``fmt``: Chrome Trace Event
+    JSON, collapsed flame stacks, the trace JSON document (``extra``
+    fields appended), or text — ``text()`` when given, else the tree.
+    The one output path of live ``profile``, ``profile --from`` and
+    ``obs replay``."""
     if fmt == "chrome-trace":
         json.dump(chrome_trace(tracer), sys.stdout, indent=2)
         print()
-    else:
+    elif fmt == "flame":
         flame = collapsed_stacks(tracer, metric=args.flame_metric)
         if flame:
             print(flame)
+    elif fmt == "json":
+        json.dump({**trace_to_json(tracer), **(extra or {})}, sys.stdout,
+                  indent=2)
+        print()
+    elif text is not None:
+        print(text())
+    else:
+        print(render_tree(tracer, times=not args.no_times))
+    return EXIT_OK
+
+
+def _profile_text(tracer: Tracer, args: argparse.Namespace, answer,
+                  mode_used: str, seconds: float) -> str:
+    """The default ``profile`` report: tree, counter and histogram
+    tables, the memory table under ``--memory``, and the answer size."""
+    times = not args.no_times
+    lines = [f"mode: {mode_used}",
+             "== trace ==", render_tree(tracer, times=times),
+             "== counters ==", summary_table(tracer),
+             "== metrics ==", metrics_table(tracer.metrics)]
+    if args.memory:
+        lines += ["== memory ==", memory_table(tracer)]
+    lines.append(f"-- {len(answer)} tuple(s)"
+                 + (f" in {seconds * 1000:.1f} ms" if times else ""))
+    return "\n".join(lines)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -350,75 +408,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         with open(args.from_file, encoding="utf-8") as handle:
             tracer = tracer_from_document(json.load(handle))
-        if fmt in ("chrome-trace", "flame"):
-            _emit_trace(tracer, fmt, args)
-        elif fmt == "json":
-            json.dump(trace_to_json(tracer), sys.stdout, indent=2)
-            print()
-        else:
-            print(render_tree(tracer, times=not args.no_times))
-        return EXIT_OK
+        return _write_trace(tracer, fmt, args)
     if args.instance is None or args.query is None:
         print("error: profile needs an instance file and a query "
               "(or --from FILE to re-export a saved trace)",
               file=sys.stderr)
         return EXIT_ERROR
-    with _stream_sink(args) as sink:
-        tracer = Tracer(memory=args.memory, stream=sink)
-        _record_tracer(tracer)
-        start = time.perf_counter()
-        try:
-            with use_tracer(tracer), _maybe_watchdog(args, tracer):
-                answer, mode_used = _run_query(args, tracer)
-        except RangeComputationError as error:
-            # args.mode == "rr": a not-RR query is a finding, as for
-            # query.
-            print(f"range-restricted evaluation failed: {error}",
-                  file=sys.stderr)
-            _record(outcome="error", error=str(error))
-            return EXIT_FINDINGS
-        except Exception:
-            # The query died mid-evaluation.  The partial trace is
-            # exactly what a profiler user wants at that point: close()
-            # flushes the still-open spans (marked aborted, streamed)
-            # and the tree goes to stderr before the traceback.
-            tracer.close()
-            if tracer.root.children:
-                print("-- query failed; partial trace (open spans "
-                      "aborted):", file=sys.stderr)
-                print(render_tree(tracer, times=not args.no_times),
-                      file=sys.stderr)
-            raise
-        elapsed = time.perf_counter() - start
-        tracer.close()
-        _record(mode=mode_used, rows=len(answer))
-    if fmt in ("chrome-trace", "flame"):
-        _emit_trace(tracer, fmt, args)
-        return EXIT_OK
-    if fmt == "json":
-        document = trace_to_json(tracer)
-        document["mode"] = mode_used
-        document["answer_rows"] = len(answer)
-        document["seconds"] = elapsed
-        json.dump(document, sys.stdout, indent=2)
-        print()
-        return EXIT_OK
-    times = not args.no_times
-    print(f"mode: {mode_used}")
-    print("== trace ==")
-    print(render_tree(tracer, times=times))
-    print("== counters ==")
-    print(summary_table(tracer))
-    print("== metrics ==")
-    print(metrics_table(tracer.metrics))
-    if args.memory:
-        print("== memory ==")
-        print(memory_table(tracer))
-    if times:
-        print(f"-- {len(answer)} tuple(s) in {elapsed * 1000:.1f} ms")
-    else:
-        print(f"-- {len(answer)} tuple(s)")
-    return EXIT_OK
+    run = _traced_run(args, trace=True, partial_tree=True)
+    if run is None:
+        return EXIT_FINDINGS
+    tracer, answer, mode_used, seconds = run
+    return _write_trace(
+        tracer, fmt, args,
+        extra={"mode": mode_used, "answer_rows": len(answer),
+               "seconds": seconds},
+        text=lambda: _profile_text(tracer, args, answer, mode_used,
+                                   seconds))
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -433,29 +438,13 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
     """``repro bench --trend FILE...``: the cross-PR trajectory report."""
-    from .bench import (
-        TrendError,
-        build_trend,
-        load_documents,
-        migrated_path,
-        render_trend,
-    )
+    from .bench import TrendError, build_trend, load_documents, render_trend
 
     try:
         records = load_documents(args.trend)
     except TrendError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
-    if args.migrate:
-        for record in records:
-            if not record["legacy"]:
-                continue
-            path = migrated_path(record["path"])
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(record["document"], handle, indent=2)
-                handle.write("\n")
-            print(f"-- migrated {record['path']} -> {path}",
-                  file=sys.stderr)
     trend = build_trend(records, full=args.full)
     if args.format == "json":
         print(json.dumps(trend, indent=2))
@@ -488,10 +477,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.trend:
         return _cmd_bench_trend(args)
-    if args.migrate:
-        print("error: --migrate only applies to --trend inputs",
-              file=sys.stderr)
-        return EXIT_ERROR
     if args.full:
         print("error: --full only applies to --trend reports",
               file=sys.stderr)
@@ -520,7 +505,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         with _stream_sink(args) as sink:
             document = run_suites(suites, sizes=sizes,
                                   strategy=args.strategy,
-                                  tracemalloc=args.tracemalloc,
                                   jobs=args.jobs,
                                   point_timeout=args.timeout,
                                   memory=args.memory, stream=sink)
@@ -821,15 +805,10 @@ def _cmd_obs_replay(args: argparse.Namespace) -> int:
     else:
         with open(args.stream_file, encoding="utf-8") as handle:
             tracer = replay_stream(handle, segment=args.segment)
-    if args.format in ("chrome-trace", "flame"):
-        _emit_trace(tracer, args.format, args)
-    elif args.format == "json":
-        json.dump(trace_to_json(tracer), sys.stdout, indent=2)
-        print()
-    else:
-        print(render_tree(tracer, times=not args.no_times))
-        print(summary_table(tracer))
-    return EXIT_OK
+    return _write_trace(
+        tracer, args.format, args,
+        text=lambda: (render_tree(tracer, times=not args.no_times) + "\n"
+                      + summary_table(tracer)))
 
 
 def _add_obs_flags(cmd: argparse.ArgumentParser, *, stream: bool = False,
@@ -971,19 +950,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "schema-1 baseline document")
     bench_cmd.add_argument(
         "--trend", nargs="+", metavar="FILE",
-        help="cross-PR trend mode: align these BENCH_PR*.json documents "
-             "(legacy flat or schema-1) into per-suite trajectories "
-             "with regression flags")
-    bench_cmd.add_argument(
-        "--migrate", action="store_true",
-        help="with --trend: rewrite each legacy input as FILE.schema1."
-             "json (the sanctioned path off the retired flat layout)")
+        help="cross-PR trend mode: align these schema-1 BENCH_PR*.json "
+             "documents into per-suite trajectories with regression "
+             "flags")
     bench_cmd.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format for the report or trend table")
-    bench_cmd.add_argument("--tracemalloc", action="store_true",
-                           help="also record peak allocated bytes per "
-                                "point (slower)")
     bench_cmd.add_argument(
         "--memory", action="store_true",
         help="run each point under span-level memory attribution "

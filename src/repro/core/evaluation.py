@@ -80,7 +80,6 @@ from .fixpoint import (
     IndexPool,
     PFPDivergenceError,
     iterate_ifp,
-    iterate_ifp_delta,
     iterate_pfp,
 )
 from .syntax import (
@@ -832,8 +831,8 @@ class Evaluator:
         def naive_stage(current: frozenset[tuple[Value, ...]]) -> frozenset[tuple[Value, ...]]:
             return body_rows(current, False)
 
-        def delta_stage(current: frozenset[tuple[Value, ...]],
-                        delta: frozenset[tuple[Value, ...]]) -> frozenset[tuple[Value, ...]]:
+        def delta_stage(current: frozenset[tuple[Value, ...]]) -> frozenset[tuple[Value, ...]]:
+            """The seminaive IFP stage: only the rows new at this stage."""
             rows = body_rows(current, True)
             ctx.stats["delta_rows"] += len(rows)
             return rows
@@ -842,13 +841,10 @@ class Evaluator:
         with ctx.tracer.span("fixpoint", name=fixpoint.name,
                              kind=kind, strategy=ctx.strategy) as span:
             if fixpoint.kind == IFP:
-                if ctx.strategy == "seminaive":
-                    result = iterate_ifp_delta(
-                        delta_stage, self.max_fixpoint_stages, ctx.tracer)
-                else:
-                    result = iterate_ifp(naive_stage,
-                                         self.max_fixpoint_stages,
-                                         ctx.tracer)
+                stage = (delta_stage if ctx.strategy == "seminaive"
+                         else naive_stage)
+                result = iterate_ifp(stage, self.max_fixpoint_stages,
+                                     ctx.tracer)
             else:
                 # PFP stages *replace* the relation, so no candidate can
                 # be skipped; the seminaive strategy still benefits from

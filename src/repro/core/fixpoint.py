@@ -12,19 +12,10 @@ The two operators differ only in how the stage formula is iterated:
 
 These engines are generic over the stage function (a callable from a
 frozenset of rows to a frozenset of rows); the calculus evaluator, the
-Datalog engine and the TM simulation all drive them.
-
-Two stage protocols are supported:
-
-* the **naive** protocol — ``stage(current)`` recomputes ``phi(current)``
-  from scratch (:func:`iterate_ifp`, :func:`iterate_pfp`);
-* the **delta** protocol — ``stage(current, delta)`` additionally
-  receives the rows derived for the first time at the previous stage
-  (:func:`iterate_ifp_delta`), so a semi-naive stage function can
-  restrict its work to derivations a fresh row can enable.  The engine
-  unions the returned rows into ``current`` itself and stops when a
-  stage contributes nothing new; the sequence of states ``J_i`` (and
-  hence the stage count) is identical to the naive engine's.
+Datalog engine and the TM simulation all drive them.  :func:`iterate_ifp`
+unions the returned rows into ``current`` itself, so a semi-naive stage
+function may return only the rows new at its stage: the sequence of
+states ``J_i`` (and hence the stage count) is the naive one's.
 
 Both engines report per-stage progress to the active
 :mod:`repro.obs` tracer: IFP stages carry the stage number, the current
@@ -44,9 +35,6 @@ from ..obs import NullTracer, Tracer, get_tracer
 Row = Tuple  # a tuple of values
 Rows = FrozenSet[Row]
 StageFn = Callable[[Rows], Rows]
-#: Delta protocol: ``stage(current, delta)`` returns the rows derived at
-#: this stage (the engine unions them into ``current``).
-DeltaStageFn = Callable[[Rows, Rows], Rows]
 
 
 class FixpointError(Exception):
@@ -99,52 +87,6 @@ def iterate_ifp(
         if new == current:
             return current
         current = new
-        if max_stages is not None and count >= max_stages:
-            raise FixpointError(
-                f"IFP did not converge within {max_stages} stages"
-            )
-
-
-def iterate_ifp_delta(
-    stage: DeltaStageFn,
-    max_stages: int | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> Rows:
-    """Run an inflationary fixpoint with the delta stage protocol.
-
-    ``stage(current, delta)`` computes the rows derived at this stage,
-    where ``delta`` holds the rows that entered the fixpoint at the
-    previous stage (empty on the first call, when ``current`` is empty
-    too).  The engine unions the result into ``current`` and stops at
-    the first stage that contributes no new row.
-
-    The state sequence ``J_0 = {}``, ``J_i = stage(J_{i-1}, Δ_{i-1}) ∪
-    J_{i-1}`` equals the naive engine's whenever the stage function is a
-    semi-naive rewriting of a naive ``phi`` (i.e. returns at least every
-    row of ``phi(J_{i-1})`` not already in ``J_{i-1}``), so stage counts
-    and results are directly comparable between the two protocols.
-    """
-    if tracer is None:
-        tracer = get_tracer()
-    current: Rows = frozenset()
-    delta: Rows = frozenset()
-    count = 0
-    while True:
-        tracer.heartbeat()
-        derived = frozenset(stage(current, delta))
-        count += 1
-        fresh = derived - current
-        if tracer.enabled:
-            tracer.event("ifp.stage", stage=count,
-                         size=len(current) + len(fresh), delta=len(fresh))
-            tracer.count("ifp.stages")
-            tracer.observe("space.ifp.stage_rows", len(current) + len(fresh))
-            tracer.gauge_max("space.peak_fixpoint_rows",
-                             len(current) + len(fresh))
-        if not fresh:
-            return current
-        current = current | fresh
-        delta = fresh
         if max_stages is not None and count >= max_stages:
             raise FixpointError(
                 f"IFP did not converge within {max_stages} stages"

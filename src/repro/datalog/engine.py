@@ -232,21 +232,14 @@ class _Database:
         if literal.op == "in":
             if left_val is None and right_val is not None \
                     and isinstance(literal.left, DVar):
-                members = self._set_members(right_val)
-                if members is None:
+                if not isinstance(right_val, CSet):
                     raise DatalogError(
-                        f"'in' against non-set value "
-                        f"{self._display(right_val)!r}")
+                        f"'in' against non-set value {right_val!r}")
                 name = literal.left.name
-                return iter([{**env, name: element} for element in members])
+                return iter([{**env, name: element}
+                             for element in right_val.elements])
             return None
         return None
-
-    def _set_members(self, value):
-        return value.elements if isinstance(value, CSet) else None
-
-    def _display(self, value):
-        return value
 
 
 def _is_bound(literal, env: Env, db) -> bool:
@@ -348,11 +341,6 @@ def _derive(rules, db,
     return {name: frozenset(rows) for name, rows in derived.items()}
 
 
-#: A database factory: ``make_db(idb)`` builds the naive oracle's
-#: per-stage database view.
-_DbFactory = Callable[..., object]
-
-
 def _delta_rules(program: Program) -> tuple[Rule, ...]:
     """The semi-naive rewriting: one variant of each rule per positive
     IDB body literal, with that occurrence reading the ``Δ::`` view.
@@ -373,12 +361,13 @@ def _delta_rules(program: Program) -> tuple[Rule, ...]:
     return tuple(variants)
 
 
-def _naive_stage(program: Program, make_db: _DbFactory):
+def _naive_stage(program: Program, inst: Instance):
     """Build a naive stage function: all rules against the full IDB."""
 
     def stage(packed: frozenset) -> frozenset:
         idb = _unpack(packed, program)
-        return _pack(_derive(program.rules, make_db(idb), idb))
+        return _pack(_derive(program.rules, _Database(inst, idb, program),
+                             idb))
 
     return stage
 
@@ -711,7 +700,7 @@ class _InternedEngine:
         variants against the previous stage's fresh rows.  One pool
         indexes the IDB for the whole run: fresh rows are appended to
         its indexes.  Emits the stage events and counters of
-        :func:`repro.core.fixpoint.iterate_ifp_delta`.
+        :func:`repro.core.fixpoint.iterate_ifp`.
         ``datalog.delta_rows`` counts the fresh rows a stage contributes;
         ``datalog.refires_avoided`` counts, per delta stage, the rows
         already settled in the IDB — each is at least one re-derivation
@@ -799,10 +788,6 @@ def _prepare(program: Program, inst: Instance, strategy: str,
     return _InternedEngine(program, inst, tracer)
 
 
-def _oracle(program: Program, inst: Instance) -> _DbFactory:
-    return lambda idb: _Database(inst, idb, program)
-
-
 def _publish(result: Mapping[str, set[Row] | frozenset[Row]],
              engine: _InternedEngine | None, tracer, span
              ) -> dict[str, frozenset[Row]]:
@@ -837,8 +822,8 @@ def evaluate_inflationary(
                      strategy=strategy) as span:
         engine = _prepare(program, inst, strategy, tracer)
         if engine is None:
-            final = iterate_ifp(_naive_stage(program, _oracle(program, inst)),
-                                max_stages, tracer)
+            final = iterate_ifp(_naive_stage(program, inst), max_stages,
+                                tracer)
             return _publish(_unpack(final, program), None, tracer, span)
         idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
         for _ in engine.inflationary(idb, max_stages):
@@ -866,7 +851,7 @@ def evaluate_partial(
                      idb=sorted(program.idb_types),
                      strategy=strategy) as span:
         engine = _prepare(program, inst, strategy, tracer)
-        stage = (_naive_stage(program, _oracle(program, inst))
+        stage = (_naive_stage(program, inst)
                  if engine is None else engine.partial_stage)
         final = iterate_pfp(stage, max_stages, tracer)
         return _publish(_unpack(final, program), engine, tracer, span)
@@ -883,8 +868,7 @@ def inflationary_stages(
     """
     engine = _prepare(program, inst, strategy, get_tracer())
     if engine is None:
-        for packed in ifp_stages(_naive_stage(program,
-                                              _oracle(program, inst))):
+        for packed in ifp_stages(_naive_stage(program, inst)):
             yield _unpack(packed, program)
         return
     idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}

@@ -5,10 +5,10 @@ The observability layer for the evaluation stack: every engine
 evaluation, Datalog, nested algebra) reports the paper's cost drivers —
 materialised domain cardinalities, quantifier product sizes, fixpoint
 stage counts and per-stage deltas, derived range sizes, dedup hits —
-through the active tracer, which also carries typed metrics (monotonic
-counters, gauges, log-bucketed histograms) for the space-accounting
-series the benchmark observatory fits curves to.  The default tracer is
-a no-op; install a live one with::
+through the active tracer: one flat table of monotonic counters and
+gauges, plus log-bucketed histograms for the distributions (per-stage
+rows, range sizes) the benchmark observatory summarises per point.
+The default tracer is a no-op; install a live one with::
 
     from repro.obs import Tracer, use_tracer, render_tree, summary_table
 
@@ -34,14 +34,10 @@ from .memory import (
     format_bytes,
 )
 from .metrics import (
-    Counter,
-    Gauge,
     Histogram,
-    Metric,
     MetricsRegistry,
     metrics_from_json,
     metrics_to_json,
-    tracemalloc_peak,
     value_node_count,
 )
 from .ledger import (
@@ -119,15 +115,11 @@ __all__ = [
     "MemoryAttributor",
     "attribution_report",
     "format_bytes",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "Metric",
     "MetricsRegistry",
     "metrics_to_json",
     "metrics_from_json",
     "value_node_count",
-    "tracemalloc_peak",
     "DEFAULT_LEDGER_PATH",
     "LEDGER_SCHEMA",
     "LedgerError",

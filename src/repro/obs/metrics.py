@@ -1,32 +1,24 @@
-"""Typed metrics: counters, gauges, and log-bucketed histograms.
+"""Log-bucketed histograms, their JSON export, and deep node counts.
 
 The paper's theorems are statements about *curves* — time and space as
 functions of instance size (PTIME/PSPACE on dense inputs, Theorem 4.1;
 ``P(hyper(j,k))`` under mixed density, Theorem 4.2; the LOGSPACE/PTIME/
 PSPACE safety ladder of Theorem 5.1).  The flat ``Tracer.counters`` dict
-of PR 1 records point totals but erases *types* (a monotonic count and a
-last-write gauge are indistinguishable) and *distributions* (a million
-fixpoint stages collapse to one number).  This module adds the typed
-layer:
+holds every monotonic count and gauge as one number per name, which
+erases *distributions* (a million fixpoint stages collapse to one
+number).  This module keeps them:
 
-* :class:`Counter` — monotonically increasing totals (rows derived,
-  value nodes materialised);
-* :class:`Gauge` — last-write (or high-watermark, via :meth:`Gauge.set_max`)
-  instantaneous values (peak working-set rows, per-type domain
-  cardinalities);
 * :class:`Histogram` — power-of-two log-bucketed distributions with
   count/total/min/max and bucket-resolution quantiles (per-stage
   relation cardinalities, per-variable range sizes);
-* :class:`MetricsRegistry` — a name-keyed collection of the above, with
-  kind-checked get-or-create accessors;
+* :class:`MetricsRegistry` — the name-keyed histograms of one tracer;
 * :func:`metrics_to_json` / :func:`metrics_from_json` — a versioned,
   JSON-safe export that round-trips.
 
-Space-accounting helpers live here too: :func:`value_node_count` is the
-deep node count of a nested complex object (every atom, tuple, and set
-node — the ``||o||``-flavoured size the engines report for materialised
-domains and answers), and :func:`tracemalloc_peak` is an optional
-context manager measuring peak allocated bytes via :mod:`tracemalloc`.
+:func:`value_node_count` lives here too: the deep node count of a
+nested complex object (every atom, tuple, and set node — the
+``||o||``-flavoured size the engines report for materialised domains
+and answers).
 
 Zero dependencies by design, like the rest of :mod:`repro.obs`.
 """
@@ -34,68 +26,17 @@ Zero dependencies by design, like the rest of :mod:`repro.obs`.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Any, Iterator, Union
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "Metric",
     "MetricsRegistry",
     "metrics_to_json",
     "metrics_from_json",
     "value_node_count",
-    "tracemalloc_peak",
 ]
 
 Number = Union[int, float]
-
-
-class Counter:
-    """A monotonically increasing total."""
-
-    kind = "counter"
-    __slots__ = ("value",)
-
-    def __init__(self, value: Number = 0):
-        self.value: Number = value
-
-    def inc(self, delta: Number = 1) -> None:
-        if delta < 0:
-            raise ValueError(f"counter decremented by {delta!r}")
-        self.value += delta
-
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind, "value": self.value}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.value!r})"
-
-
-class Gauge:
-    """A last-write instantaneous value, with a high-watermark mode."""
-
-    kind = "gauge"
-    __slots__ = ("value",)
-
-    def __init__(self, value: Number = 0):
-        self.value: Number = value
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def set_max(self, value: Number) -> None:
-        """Write ``value`` only if it exceeds the current reading —
-        turns the gauge into a peak (high-watermark) tracker."""
-        if value > self.value:
-            self.value = value
-
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind, "value": self.value}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.value!r})"
 
 
 def _bucket_index(value: Number) -> int:
@@ -196,70 +137,24 @@ class Histogram:
         return f"Histogram(count={self.count}, min={self.min}, max={self.max})"
 
 
-Metric = Union[Counter, Gauge, Histogram]
-
-_KINDS: dict[str, type] = {
-    "counter": Counter,
-    "gauge": Gauge,
-    "histogram": Histogram,
-}
-
-
 class MetricsRegistry:
-    """Name-keyed typed metrics with kind-checked get-or-create access.
+    """Name-keyed histograms, created on first use (what
+    :meth:`repro.obs.Tracer.observe` records into)."""
 
-    Re-registering a name under a different kind raises — a counter
-    silently read back as a gauge is exactly the confusion typed metrics
-    exist to rule out.
-    """
-
-    __slots__ = ("_metrics",)
+    __slots__ = ("_histograms",)
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Metric] = {}
-
-    def _get_or_create(self, name: str, kind: type) -> Metric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = kind()
-            self._metrics[name] = metric
-        elif not isinstance(metric, kind):
-            raise TypeError(
-                f"metric {name!r} is a {metric.kind}, not a {kind.kind}"  # type: ignore[attr-defined]
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        metric = self._get_or_create(name, Counter)
-        assert isinstance(metric, Counter)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._get_or_create(name, Gauge)
-        assert isinstance(metric, Gauge)
-        return metric
+        self._histograms: dict[str, Histogram] = {}
 
     def histogram(self, name: str) -> Histogram:
-        metric = self._get_or_create(name, Histogram)
-        assert isinstance(metric, Histogram)
-        return metric
-
-    def get(self, name: str) -> Metric | None:
-        return self._metrics.get(name)
-
-    def items(self) -> Iterator[tuple[str, Metric]]:
-        yield from sorted(self._metrics.items())
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram()
+        return histogram
 
     def histograms(self) -> Iterator[tuple[str, Histogram]]:
-        for name, metric in self.items():
-            if isinstance(metric, Histogram):
-                yield name, metric
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._metrics
+        """``(name, histogram)`` pairs in name order."""
+        yield from sorted(self._histograms.items())
 
 
 def metrics_to_json(metrics: MetricsRegistry) -> dict[str, Any]:
@@ -267,31 +162,32 @@ def metrics_to_json(metrics: MetricsRegistry) -> dict[str, Any]:
     :func:`metrics_from_json`."""
     return {
         "schema": 1,
-        "metrics": {name: metric.to_json() for name, metric in metrics.items()},
+        "metrics": {name: histogram.to_json()
+                    for name, histogram in metrics.histograms()},
     }
 
 
 def metrics_from_json(doc: dict[str, Any]) -> MetricsRegistry:
     """Rebuild a :class:`MetricsRegistry` from :func:`metrics_to_json`
-    output."""
+    output.
+
+    Older trace documents also listed every counter and gauge here, as
+    ``counter``/``gauge`` entries; their values are the document's flat
+    ``counters``, so those entries are skipped.  Any other kind raises.
+    """
     registry = MetricsRegistry()
     for name, entry in doc.get("metrics", {}).items():
-        kind = _KINDS.get(entry.get("kind"))
-        if kind is None:
-            raise ValueError(f"unknown metric kind {entry.get('kind')!r}")
-        if kind is Histogram:
-            histogram = registry.histogram(name)
-            histogram.count = entry["count"]
-            histogram.total = entry["total"]
-            histogram.min = entry["min"]
-            histogram.max = entry["max"]
-            histogram.buckets = {
-                int(b): n for b, n in entry["buckets"].items()
-            }
-        elif kind is Counter:
-            registry.counter(name).value = entry["value"]
-        else:
-            registry.gauge(name).value = entry["value"]
+        kind = entry.get("kind")
+        if kind in ("counter", "gauge"):
+            continue
+        if kind != Histogram.kind:
+            raise ValueError(f"unknown metric kind {kind!r}")
+        histogram = registry.histogram(name)
+        histogram.count = entry["count"]
+        histogram.total = entry["total"]
+        histogram.min = entry["min"]
+        histogram.max = entry["max"]
+        histogram.buckets = {int(b): n for b, n in entry["buckets"].items()}
     return registry
 
 
@@ -311,37 +207,3 @@ def value_node_count(value: Any) -> int:
     if isinstance(value, (tuple, list, set, frozenset)):
         return 1 + sum(value_node_count(item) for item in value)
     return 1
-
-
-class _PeakBytes:
-    """Result holder for :func:`tracemalloc_peak` (filled on exit)."""
-
-    __slots__ = ("bytes", "enabled")
-
-    def __init__(self) -> None:
-        self.bytes: int | None = None
-        self.enabled = False
-
-
-@contextmanager
-def tracemalloc_peak() -> Iterator[_PeakBytes]:
-    """Measure peak allocated bytes over the ``with`` body.
-
-    Uses :mod:`tracemalloc` (stdlib).  If tracing was already started by
-    an outer caller, the peak is reset and read without stopping it.
-    The holder's ``bytes`` stays ``None`` until the block exits.
-    """
-    import tracemalloc
-
-    holder = _PeakBytes()
-    already_tracing = tracemalloc.is_tracing()
-    if not already_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    holder.enabled = True
-    try:
-        yield holder
-    finally:
-        holder.bytes = tracemalloc.get_traced_memory()[1]
-        if not already_tracing:
-            tracemalloc.stop()

@@ -4,8 +4,8 @@ Turns a :class:`repro.obs.trace.Tracer` into
 
 * an indented tree (:func:`render_tree`) — subformula → range → rows
   produced, one line per span/event, optionally with wall times;
-* an aligned counter table (:func:`summary_table`) and a typed-metric
-  table with histogram summaries (:func:`metrics_table`);
+* an aligned counter table (:func:`summary_table`) and a table of
+  histogram summaries (:func:`metrics_table`);
 * a JSON document (:func:`trace_to_json`) that round-trips through
   :func:`trace_from_json` (machine consumption: benchmark harnesses,
   external plotting).
@@ -13,20 +13,18 @@ Turns a :class:`repro.obs.trace.Tracer` into
 JSON documents carry ``"schema": 1`` and *run-relative* timestamps —
 every span/event time is the offset in seconds from the root span's
 start, so traces of the same workload are directly comparable across
-runs and machines.  :func:`trace_from_json` also accepts the unversioned
-pre-schema form (absolute ``perf_counter`` timestamps).
+runs and machines.  Counters and gauges appear once, under
+``counters``; ``metrics`` holds the histograms.  :func:`trace_from_json`
+also accepts the unversioned pre-schema form (absolute ``perf_counter``
+timestamps) and documents whose ``metrics`` still repeat the counters
+as ``counter``/``gauge`` entries.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .metrics import (
-    Histogram,
-    MetricsRegistry,
-    metrics_from_json,
-    metrics_to_json,
-)
+from .metrics import MetricsRegistry, metrics_from_json, metrics_to_json
 from .trace import Event, Span, Tracer
 
 __all__ = [
@@ -148,15 +146,12 @@ def _format_number(value: int | float) -> str:
 
 
 def metrics_table(metrics: MetricsRegistry) -> str:
-    """Histograms as aligned summary lines (count/min/mean/p50/p90/max).
-
-    Counters and gauges already appear in :func:`summary_table` via the
-    flat dict, so this table shows only what that one cannot: the
-    distributions.
-    """
+    """Histograms as aligned summary lines (count/min/mean/p50/p90/max):
+    the distributions :func:`summary_table`'s single numbers cannot
+    show."""
     rows: list[tuple[str, str]] = []
-    for name, metric in metrics.histograms():
-        summary = metric.summary()
+    for name, histogram in metrics.histograms():
+        summary = histogram.summary()
         rows.append((
             name,
             "count={count} min={min} mean={mean} p50={p50} p90={p90} "
@@ -317,7 +312,7 @@ def _span_from_dict(doc: dict[str, Any], parent: Span | None = None) -> Span:
 
 
 def trace_to_json(tracer: Tracer) -> dict[str, Any]:
-    """A JSON-safe document: schema version, counters, typed metrics,
+    """A JSON-safe document: schema version, counters, histograms,
     drop accounting, and the span tree with run-relative timestamps
     (the root span starts at 0.0).  Attribute values must themselves be
     JSON-safe (the instrumentation only records strings, numbers, and
@@ -340,7 +335,9 @@ def trace_from_json(doc: dict[str, Any]) -> Tracer:
     Accepts both the current versioned form (``"schema": 1``,
     run-relative timestamps — stored as-is, so the rebuilt root starts
     at 0.0) and the unversioned pre-schema form (absolute timestamps,
-    which re-export will normalise to run-relative).
+    which re-export will normalise to run-relative).  ``counter`` and
+    ``gauge`` entries under ``metrics`` (older documents repeated the
+    counters there) are skipped; re-export drops them.
     """
     tracer = Tracer()
     tracer.counters = dict(doc["counters"])

@@ -282,8 +282,6 @@ def _replay_segment(records: list[dict[str, Any]]) -> Tracer:
     tracer._stack = [root]
     tracer.counters = counters
     tracer.dropped_events = dropped
-    for name, value in counters.items():
-        tracer.metrics.gauge(name).set(value)
     return tracer
 
 

@@ -129,12 +129,11 @@ class Tracer:
     Counters are a flat ``name -> number`` dict; :meth:`count` adds
     (monotonic counters), :meth:`gauge` overwrites (last-write gauges
     such as per-type domain cardinalities), :meth:`gauge_max` keeps the
-    high watermark (peak working-set rows).  Each of those also feeds a
-    typed metric of the same name in ``metrics``
-    (:class:`repro.obs.metrics.MetricsRegistry`); :meth:`observe`
-    records into a log-bucketed histogram there *without* polluting the
-    flat dict (distributions are not single numbers).  The span tree
-    hangs off ``root``, an implicit span opened at construction.
+    high watermark (peak working-set rows).  :meth:`observe` records
+    into a log-bucketed histogram in ``metrics``
+    (:class:`repro.obs.metrics.MetricsRegistry`) instead: distributions
+    are not single numbers.  The span tree hangs off ``root``, an
+    implicit span opened at construction.
     """
 
     enabled = True
@@ -219,27 +218,27 @@ class Tracer:
     # -- counters --------------------------------------------------------
 
     def count(self, name: str, /, delta: int | float = 1) -> None:
-        """Add ``delta`` to a monotonic counter."""
+        """Add ``delta`` to a monotonic counter; a negative ``delta``
+        raises ``ValueError``."""
+        if delta < 0:
+            raise ValueError(f"counter {name!r} decremented by {delta!r}")
         self.counters[name] = self.counters.get(name, 0) + delta
-        self.metrics.counter(name).inc(delta)
 
     def gauge(self, name: str, /, value: int | float) -> None:
         """Set a last-write gauge."""
         self.counters[name] = value
-        self.metrics.gauge(name).set(value)
 
     def gauge_max(self, name: str, /, value: int | float) -> None:
         """Raise a high-watermark gauge to ``value`` if it exceeds the
         current reading (peak working-set rows, peak range size)."""
         if value > self.counters.get(name, 0):
             self.counters[name] = value
-        self.metrics.gauge(name).set_max(value)
 
     def observe(self, name: str, /, value: int | float) -> None:
         """Record ``value`` into the log-bucketed histogram ``name``.
 
-        Histograms live only in the typed registry — the flat
-        ``counters`` dict stays a scalar table.
+        Histograms live only in ``metrics`` — the flat ``counters``
+        dict stays a scalar table.
         """
         self.metrics.histogram(name).record(value)
 

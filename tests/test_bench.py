@@ -1,7 +1,6 @@
 """The bench observatory: curve fitting and classification, suite
-running, schema-1 baseline diffing (the flat PR 3 layout is retired;
-see tests/test_bench_trend.py for its conversion), and the
-``repro bench`` CLI."""
+running, schema-1 baseline diffing (the pre-schema-1 flat layout is
+retired), and the ``repro bench`` CLI."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from repro.bench import (
     SUITES,
     Tolerance,
     classify,
-    convert_legacy,
     diff_against_baseline,
     document_failures,
     doubling_ratios,
@@ -144,11 +142,6 @@ class TestRunSuite:
         assert document["skipped"] == ["single"]
         assert document["schema"] == 1
 
-    def test_tracemalloc_opt_in(self):
-        document = run_suite(TOY, sizes=(4,), strategies=("seminaive",),
-                             tracemalloc=True)
-        assert document["points"][0]["tracemalloc_peak_bytes"] > 0
-
 
 class TestResolveSuites:
     def test_groups_expand_and_dedup(self):
@@ -192,19 +185,19 @@ class TestBaselineDiff:
         assert diff_against_baseline(document, {"suites": {}}, [TOY]) == []
 
     def test_legacy_flat_baseline_is_retired(self):
-        """The PR 3 flat layout no longer gates directly: the diff
-        raises and points at the migration path."""
+        """The pre-schema-1 flat layout does not gate: the diff raises,
+        naming the schema it needs."""
         document = run_suites([TOY])
         legacy = {"datalog": [{"n": 4, "closure_rows": 16,
                                "seminaive": {"rows": 16}}]}
-        with pytest.raises(LegacyBaselineError, match="--migrate"):
+        with pytest.raises(LegacyBaselineError, match="schema-1"):
             diff_against_baseline(document, legacy, [TOY])
 
     def test_migrated_pr3_baseline_still_gates_the_smoke_suite(self):
-        """The committed BENCH_PR3.json, rewritten by convert_legacy,
+        """The committed BENCH_PR3.json, converted once to schema 1,
         gates the smoke suite exactly as the retired reader did."""
         with open("BENCH_PR3.json", encoding="utf-8") as handle:
-            baseline = convert_legacy(json.load(handle))
+            baseline = json.load(handle)
         suite = SUITES["seminaive-smoke"]
         document = run_suites([suite], sizes=(8, 16))
         assert diff_against_baseline(document, baseline, [suite]) == []

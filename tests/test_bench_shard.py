@@ -238,15 +238,6 @@ class TestResourceTelemetry:
             assert point["counters"]["space.rss_peak"] > 4 << 20
 
     @needs_fork
-    def test_traced_peak_counter_mirrors_tracemalloc_field(self):
-        document = run_suites([SUITES["toy-linear"]], jobs=2,
-                              tracemalloc=True)
-        for point in document["suites"]["toy-linear"]["points"]:
-            assert point["counters"]["space.traced_peak"] == \
-                point["tracemalloc_peak_bytes"]
-            assert point["counters"]["space.traced_peak"] > 0
-
-    @needs_fork
     def test_memory_attribution_rides_through_workers(self):
         document = run_suites([SUITES["seminaive-smoke"]], sizes=(8,),
                               jobs=2, memory=True)
@@ -359,7 +350,6 @@ class TestPlumbing:
         compare byte-identical."""
         document = {"suites": {"s": {"points": [{
             "n": 2, "strategy": "seminaive", "seconds": 0.5,
-            "tracemalloc_peak_bytes": 999,
             "counters": {"toy.rows": 4, "space.rss_peak": 16 << 20,
                          "space.traced_peak": 999},
             "histograms": {},
@@ -367,7 +357,6 @@ class TestPlumbing:
         point = strip_timing(document)["suites"]["s"]["points"][0]
         assert point["counters"] == {"toy.rows": 4}
         assert "seconds" not in point
-        assert "tracemalloc_peak_bytes" not in point
 
     def test_strip_timing_keeps_counter_metric_gates(self):
         document = {"suites": {"s": {

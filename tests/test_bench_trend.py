@@ -1,27 +1,22 @@
-"""The cross-PR trend subsystem: legacy conversion, alignment across
-mixed-format inputs, tolerance-driven regression flags, holes for
-absent suites, and the ``repro bench --trend`` CLI including
-``--migrate`` (satellite d of PR 5).
+"""The cross-PR trend subsystem: the converted ``BENCH_PR3.json``,
+alignment across PRs, tolerance-driven regression flags, holes for
+absent suites, and the ``repro bench --trend`` CLI.
 
-The committed ``BENCH_PR3.json`` (retired flat layout) and
-``BENCH_PR4.json`` (schema 1) act as real-world goldens; the fabricated
-documents pin down the flagging and hole semantics exactly.
+The committed ``BENCH_PR3.json`` (converted once from the retired flat
+layout) and ``BENCH_PR4.json`` act as real-world goldens; the
+fabricated documents pin down the flagging and hole semantics exactly.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 
 import pytest
 
 from repro.bench import (
     build_trend,
-    convert_legacy,
-    is_legacy,
     label_for_path,
     load_documents,
-    migrated_path,
     render_trend,
 )
 from repro.bench.trend import TrendError
@@ -62,48 +57,54 @@ def _write(tmp_path, name: str, document: dict) -> str:
     return str(path)
 
 
+#: ``closure_rows`` per chain length in the flat ``datalog`` section of
+#: ``BENCH_PR3.json`` before its conversion: the checksums its
+#: ``seminaive-smoke`` points carry.
+FLAT_CLOSURE_ROWS = {8: 28, 16: 120, 32: 496, 64: 2016}
+
+
 class TestLegacyConversion:
-    def test_is_legacy_discriminates(self):
-        assert is_legacy({"datalog": []})
-        assert not is_legacy({"schema": 1, "suites": {}})
+    """``BENCH_PR3.json``, rewritten once from the retired flat layout
+    into schema 1."""
 
     def test_committed_pr3_converts_with_mapped_counters(self):
         with open("BENCH_PR3.json", encoding="utf-8") as handle:
-            legacy = json.load(handle)
-        converted = convert_legacy(legacy)
+            converted = json.load(handle)
         assert converted["schema"] == 1
         assert converted["converted_from"] == "legacy-pr3-flat"
         assert sorted(converted["suites"]) == [
             "algebra-loop", "calc-ifp-dense", "seminaive-smoke"]
         smoke = converted["suites"]["seminaive-smoke"]
         assert smoke["strategies"] == ["naive", "seminaive"]
-        point = smoke["points"][0]
-        # Legacy per-strategy fields became observatory counter names,
+        # The flat per-strategy fields became observatory counter names,
         # closure_rows became the checksum.
-        assert "datalog.rows_derived" in point["counters"]
-        assert point["checksum"] == next(
-            entry["closure_rows"] for entry in legacy["datalog"]
-            if entry["n"] == point["n"])
+        for point in smoke["points"]:
+            assert "datalog.rows_derived" in point["counters"]
+            assert point["checksum"] == FLAT_CLOSURE_ROWS[point["n"]]
+        assert {point["n"] for point in smoke["points"]} \
+            == set(FLAT_CLOSURE_ROWS)
 
     def test_label_extraction(self):
         assert label_for_path("BENCH_PR3.json") == "PR3"
         assert label_for_path("/some/dir/BENCH_PR12.json") == "PR12"
         assert label_for_path("custom.json") == "custom"
 
-    def test_migrated_path(self):
-        assert migrated_path("BENCH_PR3.json") == "BENCH_PR3.schema1.json"
-
 
 class TestLoadDocuments:
     def test_mixed_inputs_sort_by_pr_number(self, tmp_path):
         newer = _write(tmp_path, "BENCH_PR10.json", _fake_document(2016))
         with open("BENCH_PR3.json", encoding="utf-8") as handle:
-            legacy = json.load(handle)
-        older = _write(tmp_path, "BENCH_PR3.json", legacy)
+            committed = json.load(handle)
+        older = _write(tmp_path, "BENCH_PR3.json", committed)
         records = load_documents([newer, older])  # glob order scrambled
         assert [r["label"] for r in records] == ["PR3", "PR10"]
-        assert records[0]["legacy"] and not records[1]["legacy"]
-        assert not is_legacy(records[0]["document"])  # converted
+        assert records[0]["document"] == committed
+
+    def test_flat_layout_is_rejected(self, tmp_path):
+        """Only schema-1 documents load; the message names the schema."""
+        flat = _write(tmp_path, "BENCH_PR2.json", {"datalog": []})
+        with pytest.raises(TrendError, match="schema-1"):
+            load_documents([flat])
 
     def test_non_json_input_raises_trend_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -222,25 +223,11 @@ class TestTrendCli:
         assert "REGRESSED" in captured.out
         assert "FAIL:" in captured.err
 
-    def test_migrate_writes_schema1_rewrite(self, tmp_path, capsys):
-        legacy_copy = str(tmp_path / "BENCH_PR3.json")
-        shutil.copy("BENCH_PR3.json", legacy_copy)
-        code = main(["bench", "--trend", legacy_copy, "--migrate"])
-        assert code == EXIT_OK
-        rewritten = tmp_path / "BENCH_PR3.schema1.json"
-        assert rewritten.exists()
-        document = json.loads(rewritten.read_text())
-        assert document["schema"] == 1
-        assert "seminaive-smoke" in document["suites"]
-        # The rewrite is accepted where the legacy layout is rejected:
-        # as a --baseline for the suites it covers.
-        code = main(["bench", "--suite", "seminaive-smoke",
-                     "--sizes", "8,16", "--baseline", str(rewritten)])
-        assert code == EXIT_OK
-
-    def test_migrate_without_trend_is_a_usage_error(self, capsys):
-        assert main(["bench", "--migrate"]) == EXIT_ERROR
-        assert "--migrate" in capsys.readouterr().err
+    def test_flat_layout_input_is_an_error(self, tmp_path, capsys):
+        flat = _write(tmp_path, "BENCH_PR2.json", {"datalog": []})
+        code = main(["bench", "--trend", flat, "BENCH_PR4.json"])
+        assert code == EXIT_ERROR
+        assert "schema-1" in capsys.readouterr().err
 
     def test_missing_trend_file_is_a_usage_error(self, tmp_path, capsys):
         code = main(["bench", "--trend", str(tmp_path / "absent.json")])

@@ -228,11 +228,26 @@ class TestBenchCommand:
         code = main(["bench", "--trend", str(tmp_path / "absent.json")])
         assert code == EXIT_ERROR
 
-    def test_legacy_baseline_is_an_error(self, capsys):
+    def test_legacy_baseline_is_an_error(self, tmp_path, capsys):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(
+            {"datalog": [{"n": 8, "closure_rows": 28,
+                          "seminaive": {"rows_derived": 28}}]}))
         code = main(["bench", "--suite", "seminaive-smoke",
-                     "--sizes", "8,16", "--baseline", "BENCH_PR3.json"])
+                     "--sizes", "8,16", "--baseline", str(flat)])
         assert code == EXIT_ERROR
-        assert "--migrate" in capsys.readouterr().err
+        assert "schema-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--trend", "BENCH_PR3.json", "--migrate"],
+        ["bench", "--suite", "seminaive-smoke", "--tracemalloc"],
+    ], ids=["migrate", "tracemalloc"])
+    def test_removed_flags_are_errors(self, argv, capsys):
+        """``--migrate`` went with the flat layout; ``--memory`` records
+        the traced peak ``--tracemalloc`` did."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_ERROR
 
     def test_full_without_trend_is_an_error(self, capsys):
         assert main(["bench", "--full"]) == EXIT_ERROR

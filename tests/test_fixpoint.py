@@ -9,7 +9,6 @@ from repro.core.fixpoint import (
     PFPDivergenceError,
     ifp_stages,
     iterate_ifp,
-    iterate_ifp_delta,
     iterate_pfp,
     pfp_stages,
 )
@@ -75,63 +74,6 @@ class TestEngines:
 
         with pytest.raises(FixpointError):
             iterate_ifp(stage, max_stages=5)
-
-
-class TestDeltaEngine:
-    """``iterate_ifp_delta`` must replay ``iterate_ifp`` exactly, with
-    the stage function fed only the fresh rows of the previous stage."""
-
-    @staticmethod
-    def _counter_stage():
-        def stage(current):
-            if not current:
-                return frozenset({(0,)})
-            return frozenset((n + 1,) for (n,) in current if n < 5)
-
-        return stage
-
-    @staticmethod
-    def _counter_delta_stage(deltas):
-        def stage(current, delta):
-            deltas.append(delta)
-            if not current:
-                return frozenset({(0,)})
-            return frozenset((n + 1,) for (n,) in delta if n < 5)
-
-        return stage
-
-    def test_same_result_as_naive(self):
-        deltas = []
-        naive = iterate_ifp(self._counter_stage())
-        delta = iterate_ifp_delta(self._counter_delta_stage(deltas))
-        assert naive == delta == frozenset((n,) for n in range(6))
-
-    def test_delta_is_previous_fresh_rows(self):
-        deltas = []
-        iterate_ifp_delta(self._counter_delta_stage(deltas))
-        # First call sees an empty delta; afterwards exactly the one
-        # fresh row of the previous stage.
-        assert deltas[0] == frozenset()
-        assert deltas[1:] == [frozenset({(n,)}) for n in range(6)]
-
-    def test_max_stage_guard(self):
-        def stage(current, delta):
-            return frozenset({(len(current),)}) | current
-
-        with pytest.raises(FixpointError):
-            iterate_ifp_delta(stage, max_stages=5)
-
-    def test_stage_counter_matches_naive(self):
-        from repro.obs import Tracer, use_tracer
-
-        tracer_naive, tracer_delta = Tracer(), Tracer()
-        with use_tracer(tracer_naive):
-            iterate_ifp(self._counter_stage())
-        with use_tracer(tracer_delta):
-            deltas = []
-            iterate_ifp_delta(self._counter_delta_stage(deltas))
-        assert (tracer_naive.counters["ifp.stages"]
-                == tracer_delta.counters["ifp.stages"])
 
 
 @pytest.fixture

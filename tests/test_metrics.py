@@ -1,6 +1,6 @@
-"""Typed metrics: bucket boundaries, quantiles, registry kinds, JSON
-round-trips, tracer integration, deep node counts, and the versioned
-run-relative trace schema."""
+"""Counters, gauges and histograms: the tracer's counter semantics,
+bucket boundaries, quantiles, JSON round-trips, tracer integration,
+deep node counts, and the versioned run-relative trace schema."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import json
 import pytest
 
 from repro.obs import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -21,29 +19,30 @@ from repro.obs import (
     use_tracer,
     value_node_count,
 )
-from repro.obs.metrics import _bucket_index, tracemalloc_peak
+from repro.obs.metrics import _bucket_index
 from repro.objects import atom, cset, ctuple
 
 
 class TestCounter:
     def test_monotonic(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
+        tracer = Tracer()
+        tracer.count("hits")
+        tracer.count("hits", 4)
+        assert tracer.counters["hits"] == 5
         with pytest.raises(ValueError):
-            counter.inc(-1)
+            tracer.count("hits", -1)
+        assert tracer.counters["hits"] == 5
 
 
 class TestGauge:
     def test_last_write_and_watermark(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.set(3)
-        assert gauge.value == 3
-        gauge.set_max(7)
-        gauge.set_max(2)
-        assert gauge.value == 7
+        tracer = Tracer()
+        tracer.gauge("size", 10)
+        tracer.gauge("size", 3)
+        assert tracer.counters["size"] == 3
+        tracer.gauge_max("peak", 7)
+        tracer.gauge_max("peak", 2)
+        assert tracer.counters["peak"] == 7
 
 
 class TestHistogramBuckets:
@@ -105,26 +104,15 @@ class TestHistogramBuckets:
 
 
 class TestRegistry:
-    def test_get_or_create_and_kind_conflicts(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        assert registry.counter("a").value == 1
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-        with pytest.raises(TypeError):
-            registry.histogram("a")
-        assert "a" in registry and len(registry) == 1
-        assert registry.get("missing") is None
-
     def test_json_round_trip(self):
         registry = MetricsRegistry()
-        registry.counter("rows").inc(41)
-        registry.gauge("peak").set_max(7)
+        registry.histogram("rows").record(41)
         histogram = registry.histogram("sizes")
         for value in (1, 5, 5, 300):
             histogram.record(value)
         document = metrics_to_json(registry)
         assert document["schema"] == 1
+        assert sorted(document["metrics"]) == ["rows", "sizes"]
         rebuilt = metrics_from_json(json.loads(json.dumps(document)))
         assert metrics_to_json(rebuilt) == document
         assert rebuilt.histogram("sizes").quantile(0.5) == 8  # bucket ub
@@ -133,17 +121,29 @@ class TestRegistry:
         with pytest.raises(ValueError):
             metrics_from_json({"metrics": {"x": {"kind": "meter"}}})
 
+    def test_counter_and_gauge_entries_are_skipped(self):
+        """Older trace documents repeated every counter and gauge under
+        ``metrics``; the reader keeps only their histograms."""
+        registry = metrics_from_json({"metrics": {
+            "hits": {"kind": "counter", "value": 3},
+            "peak": {"kind": "gauge", "value": 5},
+            "sizes": {"kind": "histogram", "count": 1, "total": 4,
+                      "min": 4, "max": 4, "buckets": {"2": 1}},
+        }})
+        assert list(metrics_to_json(registry)["metrics"]) == ["sizes"]
+
 
 class TestTracerIntegration:
-    def test_count_and_gauge_feed_typed_registry(self):
+    def test_counters_are_stored_once(self):
+        """Counters and gauges live in the flat dict only; ``metrics``
+        holds histograms."""
         tracer = Tracer()
         tracer.count("hits", 3)
         tracer.gauge("size", 9)
         tracer.gauge_max("peak", 5)
-        tracer.gauge_max("peak", 2)
         assert tracer.counters == {"hits": 3, "size": 9, "peak": 5}
-        assert tracer.metrics.counter("hits").value == 3
-        assert tracer.metrics.gauge("peak").value == 5
+        assert list(tracer.metrics.histograms()) == []
+        assert trace_to_json(tracer)["metrics"] == {}
 
     def test_observe_stays_out_of_flat_counters(self):
         tracer = Tracer()
@@ -174,15 +174,6 @@ class TestValueNodeCount:
     def test_opaque_values_count_as_one(self):
         assert value_node_count(42) == 1
         assert value_node_count("xyz") == 1
-
-
-class TestTracemallocPeak:
-    def test_measures_peak_bytes(self):
-        with tracemalloc_peak() as peak:
-            blob = [list(range(1000)) for _ in range(50)]
-        assert peak.bytes is not None
-        assert peak.bytes > 0
-        del blob
 
 
 class TestTraceSchema:
@@ -227,6 +218,98 @@ class TestTraceSchema:
         assert document["schema"] == 1
         assert document["trace"]["start"] == 0.0
         assert document["trace"]["events"][0]["time"] == pytest.approx(0.25)
+
+
+TC_QUERY = ("{[x:{U}, y:{U}] | ifp[S(x:{U}, y:{U})]"
+            "(G(x,y) or exists z:{U} (S(x,z) and G(z,y)))(x, y)}")
+
+
+def _example_graph(tmp_path) -> str:
+    """The ``repro example`` instance, written to ``tmp_path``."""
+    from repro.objects import dump_instance
+    from repro.workloads import singleton_chain
+
+    graph = tmp_path / "graph.json"
+    dump_instance(singleton_chain("abc"), str(graph))
+    return str(graph)
+
+
+class TestJsonExportsListCountersOnce:
+    """The CLI's JSON documents carry each counter once, under
+    ``counters``; ``metrics`` holds histograms only."""
+
+    def test_query_stats_json(self, tmp_path, capsys):
+        from repro.cli import EXIT_OK, main
+
+        code = main(["query", _example_graph(tmp_path), TC_QUERY,
+                     "--stats", "--format", "json", "--no-ledger"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        document = json.loads(captured.err)
+        assert document["answer_rows"] == len(captured.out.splitlines())
+        assert document["counters"]["ifp.stages"] > 0
+        assert document["metrics"]
+        assert {entry["kind"] for entry in
+                document["metrics"].values()} == {"histogram"}
+
+    def test_replay_json(self, tmp_path, capsys):
+        from repro.cli import EXIT_OK, main
+
+        stream = str(tmp_path / "run.jsonl")
+        assert main(["query", _example_graph(tmp_path), TC_QUERY,
+                     "--stream", stream, "--no-ledger"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["obs", "replay", stream, "--format", "json"]) == EXIT_OK
+        document = json.loads(capsys.readouterr().out)
+        assert document["counters"]["ifp.stages"] > 0
+        assert document["metrics"] == {}  # streams carry no histograms
+
+
+def _older_layout_trace(tmp_path, capsys, kind: str = "counter") -> str:
+    """A live ``profile --json`` document rewritten in the older layout,
+    which repeated every counter under ``metrics`` (``kind`` for the
+    ``eval.*`` ones, ``gauge`` for the rest); returns its path."""
+    from repro.cli import EXIT_OK, main
+
+    code = main(["profile", _example_graph(tmp_path), TC_QUERY, "--json",
+                 "--no-ledger"])
+    assert code == EXIT_OK
+    document = json.loads(capsys.readouterr().out)
+    for name, value in document["counters"].items():
+        entry_kind = kind if name.startswith("eval.") else "gauge"
+        document["metrics"][name] = {"kind": entry_kind, "value": value}
+    path = tmp_path / "older.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+class TestOlderTraceLayout:
+    """``profile --from`` still reads trace documents whose ``metrics``
+    repeated the counters as ``counter``/``gauge`` entries."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "chrome-trace",
+                                     "flame"])
+    def test_re_exports_in_every_format(self, fmt, tmp_path, capsys):
+        from repro.cli import EXIT_OK, main
+
+        path = _older_layout_trace(tmp_path, capsys)
+        assert main(["profile", "--from", path, "--format", fmt,
+                     "--no-ledger"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.strip()
+        if fmt == "json":
+            document = json.loads(out)
+            assert document["counters"]["ifp.stages"] > 0
+            assert {entry["kind"] for entry in
+                    document["metrics"].values()} == {"histogram"}
+
+    def test_unknown_kind_is_an_error(self, tmp_path, capsys):
+        from repro.cli import EXIT_ERROR, main
+
+        path = _older_layout_trace(tmp_path, capsys, kind="meter")
+        assert main(["profile", "--from", path,
+                     "--no-ledger"]) == EXIT_ERROR
+        assert "meter" in capsys.readouterr().err
 
 
 def _tc_program():
@@ -302,7 +385,7 @@ class TestMillionEventFixpoint:
 
     def test_small_cap_on_a_real_fixpoint(self):
         """The cap applies to engine-emitted events too; counters and
-        typed metrics keep exact totals regardless."""
+        histograms keep exact totals regardless."""
         from repro.datalog import evaluate_inflationary
         from repro.workloads import chain_graph
 

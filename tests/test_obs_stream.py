@@ -77,13 +77,6 @@ class TestReplayEquivalence:
         assert replayed.counters == live.counters
         assert replayed.root.status == "ok"
 
-    def test_replayed_counters_feed_metrics_gauges(self):
-        sink = io.StringIO()
-        live = _run_tc(6, sink)
-        replayed = replay_stream(sink.getvalue().splitlines())
-        name = "eval.fixpoint_stages"
-        assert replayed.metrics.gauge(name).value == live.counters[name]
-
     def test_torn_stream_replays_with_aborted_spans(self):
         sink = io.StringIO()
         _run_tc(8, sink)
@@ -122,6 +115,33 @@ class TestReplayEquivalence:
     def test_content_before_begin_raises(self):
         with pytest.raises(StreamError, match="begin"):
             replay_stream(['{"t": "open", "id": 0, "name": "x", "ts": 0}'])
+
+
+class TestCliRunsCloseTheirStream:
+    """``query`` and ``profile`` close the tracer on every exit, so a
+    clean exit-1 run — a not-range-restricted query under ``--mode rr``
+    — still streams the root's close and the ``end`` record."""
+
+    @pytest.mark.parametrize("command", ["query", "profile"])
+    def test_not_rr_finding_ends_the_stream(self, command, tmp_path,
+                                            capsys):
+        from repro.cli import EXIT_FINDINGS, main
+        from repro.objects import dump_instance
+
+        graph = tmp_path / "graph.json"
+        dump_instance(singleton_chain("abc"), str(graph))
+        stream = tmp_path / "run.jsonl"
+        code = main([command, str(graph),
+                     "{[x:{U}] | not (exists y:{U} (G(x,y)))}",
+                     "--mode", "rr", "--stream", str(stream),
+                     "--no-ledger"])
+        assert code == EXIT_FINDINGS
+        lines = stream.read_text().splitlines()
+        assert json.loads(lines[-1])["t"] == "end"
+        replayed = replay_stream(lines)
+        assert replayed.root.status == "ok"
+        statuses = {span.name: span.status for span in replayed.root.walk()}
+        assert statuses["range_restricted"] == "aborted"
 
 
 class TestStreamWriter:
