@@ -24,50 +24,103 @@ the strategy alone picks the engine:
   the full column product and re-checks every candidate row; every
   subformula is re-evaluated from scratch.  This is Definition 3.1 read
   literally, the oracle the differential tests compare against.
-* ``"seminaive"`` (default) — the production engine, delta-driven over
-  interned ids: inflationary stages skip candidate rows already in the
-  fixpoint (the union keeps them regardless), and ``_satisfy`` memoizes
-  subformula results whose free variables are bound and whose
-  referenced fixpoint relations are unchanged between stages.  Each
-  evaluation starts from an empty :class:`repro.objects.intern.ValueStore`;
+* ``"seminaive"`` (default) — the production engine: fixpoint stages and
+  query heads are computed set at a time, as joins over interned ids.
+  Each evaluation starts from an empty
+  :class:`repro.objects.intern.ValueStore` (range derivation's
+  evaluations of one query share one, see :class:`SharedState`);
   environments bind dense ids, and an instance relation is interned the
-  first time a relation atom reads it
-  (:class:`repro.objects.intern.InternedInstance`).  Ids follow
-  first-read order, not the Definition 4.2 order, and are compared only
-  by equality, membership and member-set inclusion.
+  first time it is read (:class:`repro.objects.intern.InternedInstance`).
+  Ids follow first-read order, not the Definition 4.2 order, and are
+  compared only by equality, membership and member-set inclusion.
 
-  ``∃v.φ`` is *guarded* (Theorem 5.1's reason for polynomiality: values
-  come from relation atoms).  Its guard is a positive relation atom
-  reached from φ through ``And`` operands and nested ``∃`` bodies only,
-  with ``v`` as a direct argument and at least one *key* argument — a
-  constant, or a variable or projection bound outside the nested-∃
-  chain (never a fixpoint term); the atom with the most key positions
-  wins, an instance relation over a fixpoint relation on a tie.  When
-  the key variables are bound, the witnesses of ``v`` are the distinct
-  values at ``v``'s position of the rows an
-  :class:`repro.core.fixpoint.IndexPool` probe on the key returns,
-  intersected with ``v``'s candidates and tried in candidate order, so
-  the walk stops at the same first witness as the range walk.  The full
-  body is still checked for each: the guard only filters.  Rows come
-  from an enclosing fixpoint's current stage first, else the instance,
-  exactly like a relation atom; instance relations share one pool per
-  evaluation, and a fixpoint relation gets a fresh pool whenever its
-  rows change.  ``∀`` still walks its range.
+**The join kernel.**  Section 3 equates CALC+IFP with inflationary
+Datalog, and Theorem 5.1's range functions take a range-restricted
+variable's values from relation atoms; so the seminaive engine pushes a
+query formula, and a fixpoint body, through ``And``/``Or``/``∃`` into at
+most :data:`MAX_DISJUNCTS` disjuncts of conjuncts.  Type checking's
+rename-apart rule (TYP005) binds each variable once, so lifting an
+``∃`` variable into its disjunct captures nothing; an ``∃`` whose body
+has no join literal binding its variable stays one conjunct, and so
+keeps its stop at the first witness.  Each disjunct is a rule body for
+the Datalog join planner (:func:`repro.datalog.joins.plan`):
 
-Interning is a bijection on the values in play, and every refinement
-preserves Definition 3.1 exactly, so answers (decoded at the API
-boundary), stage sequences, ``ifp.stages``/``pfp.stages``,
+* its *join part* is the relation atoms over variables and constants
+  (instance relations, enclosing fixpoint relations, ``Δ::`` views) and
+  the ``=``/``in`` atoms between variables and constants; parameters
+  bound by the enclosing environment enter as constants.  Each
+  variable's candidate list (its range under restricted semantics,
+  ``dom(T, D)`` otherwise) filters the values a join binds it to,
+  unless a relation column it is read from already lies within it; the
+  variables no join literal binds range together over the product of
+  their candidate lists, which is the oracle's walk for those variables
+  alone.
+* every other conjunct (``¬``, ``∀``, ``→``, ``↔``, ``⊆``, projections,
+  fixpoints) is a *residual*, checked through ``_satisfy`` once per
+  distinct binding of the variables it reads, in the oracle's
+  enumeration order: candidate order, head variables first,
+  lexicographic.  A disjunct holding no fixpoint node skips the head
+  rows an earlier disjunct derived, as the oracle's ``∨`` does.  An
+  ``∃`` that ``_satisfy`` reaches is split the same way, over no head,
+  with its free variables as parameters.
+
+A disjunct with no join literal walks its head's candidate product
+lazily, checking each row against its residuals in turn.  A formula
+left *whole* is one residual over that product, which is the oracle's
+walk (an ``∃`` left whole walks its range, as the oracle does).  That
+happens above the split cap, when two disjuncts would each walk a
+candidate product, when a fixpoint node breaks the placement rule, and
+when one of the formula's quantified variables has more candidates than
+``max_product`` or, without a range, a ``dom(T, D)`` larger than
+``max_domain_size``: the oracle raises :class:`EvalError` or
+:class:`DomainTooLarge` only where its walk reaches that quantifier,
+and a join may reach it on other rows or on none.
+
+**Fixpoint placement.**  A fixpoint node adds stages whenever a new
+parameter binding reaches it, so the kernel takes one only where the
+oracle reaches it with the same bindings: (a) in the first disjunct
+only; (b) a fixpoint predicate over variables and constants that is the
+disjunct's first conjunct, none of whose parameters is bound inside the
+disjunct, is read as a join relation, evaluated once every variable in
+scope at it has a nonempty candidate list; (c) any other conjunct that
+holds a fixpoint node is the disjunct's last and mentions no ``∃``
+variable of the disjunct.
+
+**Stages.**  IFP stage 1 fires every disjunct.  Later stages fire one
+``Δ::S`` variant per atom on the fixpoint relation ``S`` of each
+disjunct whose ``S`` occurrences are all join atoms and which holds no
+fixpoint node; every other disjunct fires in full.  Derived rows
+already in J are dropped (``eval.stage_skips`` counts them), so each
+stage computes exactly φ(J) ∖ J (``eval.delta_rows``).  PFP fires every
+disjunct in full at every stage.  The head (or column) product is
+checked against ``max_product`` before any join, as the oracle checks
+it before its walk.
+
+**What matches the oracle.**  Both strategies evaluate a fixpoint once
+per distinct fixpoint, parameter values and rows of the enclosing
+fixpoint relations its body references.  Interning is a bijection on
+the values in play, each stage computes φ(J) ∖ J, and the placement
+rule has the kernel reach every fixpoint node with the bindings the
+oracle's walk reaches it with, in the same order.  So answers (decoded
+at the API boundary), stage sequences, ``ifp.stages``/``pfp.stages``,
 ``eval.delta_rows`` and :class:`PFPDivergenceError` period/stage all
-match the naive strategy.  The work counters (``eval.atom_checks``,
-``eval.formula_checks``, ``eval.quantifier_iterations``, ...) do not:
-skipped rows, memo hits and guards make the seminaive ones smaller.
+match the naive strategy.  The work counters do not:
+``eval.quantifier_iterations`` counts the values taken from candidate
+lists (a candidate product's walk counts its rows, and an ``∃`` left
+whole or a ``∀`` walks its range), join work shows in
+``eval.index_probes``/``eval.index_builds``, and ``_satisfy`` memoizes
+quantifier and fixpoint subformulas that read no enclosing fixpoint
+relation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
+from ..datalog.joins import DELTA, plan
+from ..datalog.syntax import BuiltinLiteral, DConst, DVar, Literal, Rule
 from ..obs import NullTracer, Tracer, get_tracer
 from ..obs.metrics import value_node_count
 from ..objects.domains import DomainTooLarge, domain_cardinality, materialize_domain
@@ -77,8 +130,10 @@ from ..objects.schema import DatabaseSchema
 from ..objects.types import Type
 from ..objects.values import Atom, CSet, CTuple, Value
 from .fixpoint import (
+    STRATEGIES,
     IndexPool,
     PFPDivergenceError,
+    check_strategy,
     iterate_ifp,
     iterate_pfp,
 )
@@ -124,19 +179,19 @@ DEFAULT_MAX_DOMAIN = 1_000_000
 DEFAULT_MAX_PRODUCT = 20_000_000
 #: Cap on memoized subformula results per evaluation (bounds memory).
 DEFAULT_MAX_MEMO = 250_000
+#: Cap on the disjuncts a formula splits into; above it, it stays whole.
+MAX_DISJUNCTS = 16
 
-#: Recognised evaluation strategies: the object oracle and the interned
-#: production engine (shared by :mod:`repro.datalog.engine`).
-STRATEGIES = ("naive", "seminaive")
+#: Engine-internal predicate names of a disjunct's rule body: a
+#: variable's candidate list, the candidate product of the variables no
+#: join literal binds, the fixpoint read as a join relation, and the
+#: rule head.  User relation names never carry them.
+_CANDIDATES = "dom::"
+_PRODUCT = "product::"
+_SOURCE = "fix::"
+_HEAD = "head::"
 
-
-def check_strategy(strategy: str) -> None:
-    """Reject a strategy name outside :data:`STRATEGIES`."""
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown evaluation strategy {strategy!r}; "
-            f"expected one of {STRATEGIES}"
-        )
+Row = tuple
 
 
 class EvalError(Exception):
@@ -168,11 +223,17 @@ class _DomainCache:
         self.tracer = tracer if tracer is not None else get_tracer()
         self._cache: dict[Type, list[Value]] = {}
 
+    def size(self, typ: Type) -> int:
+        """``|dom(T, D)|``, without materialising the domain."""
+        if typ in self._cache:
+            return len(self._cache[typ])
+        if self._atoms is None:
+            self._atoms = self._active()
+        return domain_cardinality(typ, len(self._atoms))
+
     def domain(self, typ: Type) -> list[Value]:
         if typ not in self._cache:
-            if self._atoms is None:
-                self._atoms = self._active()
-            cardinality = domain_cardinality(typ, len(self._atoms))
+            cardinality = self.size(typ)
             if cardinality > self.max_domain:
                 raise DomainTooLarge(
                     f"active-domain evaluation needs |dom({typ!r})| = "
@@ -218,72 +279,312 @@ def _referenced_relations(formula: Formula) -> frozenset[str]:
     return frozenset(names)
 
 
-class _Guard(NamedTuple):
-    """The relation atom that fixes an ``∃`` variable's witnesses: rows
-    of ``relation`` whose ``key_positions`` equal ``key_terms`` (bound
-    by the enclosing environment) carry them at ``position``."""
+# ---------------------------------------------------------------------------
+# The split: a formula as a union of joins (the seminaive kernel)
+# ---------------------------------------------------------------------------
 
-    relation: str
-    position: int
-    key_positions: tuple[int, ...]
-    key_terms: tuple[Term, ...]
-    key_vars: frozenset[str]
+class _Disjunct(NamedTuple):
+    """One disjunct of a split formula, ready to compile into a rule.
 
+    ``variables`` are the head (or column) variables, then the lifted
+    ``∃`` variables; ``outputs`` the names the rule's head yields: the
+    head variables, then the lifted ones a residual reads (or, an ``∃``
+    having no head, its first variable).  ``walked`` are the variables
+    no join literal binds, which range together over the product of
+    their candidates.  ``source`` is a fixpoint predicate read as a join
+    relation (placement rule b), evaluated only once every variable of
+    ``scope`` has candidates.
+    ``residuals`` pairs each residual with the positions in ``outputs``
+    of the variables it reads.  ``delta`` lists the positions in
+    ``joins`` of the atoms on the fixpoint relation, whose ``Δ::``
+    variants fire after stage 1, unless the disjunct fires ``full`` at
+    every stage.  ``fixpoints`` says whether it holds a fixpoint node.
+    """
 
-def _find_guard(quantifier: Exists,
-                database_relations: Collection[str]) -> _Guard | None:
-    """The guard of ``∃v.φ`` (see the module docstring), or ``None``.
-
-    Ties on the key count go to a relation of ``database_relations``:
-    its index is built once per evaluation, where a fixpoint relation's
-    is rebuilt at every stage."""
-    name = quantifier.var.name
-
-    def guards(node: Formula, inner: frozenset[str]) -> Iterator[_Guard]:
-        if isinstance(node, And):
-            for operand in node.operands:
-                yield from guards(operand, inner)
-        elif isinstance(node, Exists) and node.var.name != name:
-            # (an inner ∃v would shadow v: below it, v is another variable)
-            yield from guards(node.body, inner | {node.var.name})
-        elif isinstance(node, RelAtom):
-            guard = _guard_atom(node, name, inner)
-            if guard is not None:
-                yield guard
-
-    return max(guards(quantifier.body, frozenset((name,))),
-               key=lambda guard: (len(guard.key_positions),
-                                  guard.relation in database_relations),
-               default=None)
+    variables: tuple[Var, ...]
+    outputs: tuple[str, ...]
+    walked: tuple[str, ...]
+    joins: tuple[Formula, ...]
+    source: FixpointPred | None
+    scope: tuple[str, ...]
+    residuals: tuple[tuple[Formula, tuple[int, ...]], ...]
+    delta: tuple[int, ...]
+    full: bool
+    fixpoints: bool
 
 
-def _guard_atom(atom: RelAtom, name: str,
-                inner: frozenset[str]) -> _Guard | None:
-    """``atom`` as a guard for variable ``name``, where ``inner`` holds
-    ``name`` and the variables of the nested-∃ chain above ``atom``."""
-    position: int | None = None
-    key_positions: list[int] = []
-    key_terms: list[Term] = []
-    key_vars: set[str] = set()
-    for index, arg in enumerate(atom.args):
-        if isinstance(arg, Var) and arg.name == name:
-            if position is None:
-                position = index
-        elif isinstance(arg, Const):
-            key_positions.append(index)
-            key_terms.append(arg)
-        elif isinstance(arg, (Var, Proj)):
-            base = arg.base if isinstance(arg, Proj) else arg
-            if base.name not in inner:
-                key_positions.append(index)
-                key_terms.append(arg)
-                key_vars.add(base.name)
-    # Without a key position a probe would return the whole relation on
-    # every evaluation: a scan that can cost more than the range walk.
-    if position is None or not key_positions:
-        return None
-    return _Guard(atom.name, position, tuple(key_positions),
-                  tuple(key_terms), frozenset(key_vars))
+def _joinable(formula: Formula) -> bool:
+    """A relation atom, ``=`` or ``in`` over variables and constants."""
+    if not isinstance(formula, (RelAtom, Equals, In)):
+        return False
+    return all(isinstance(term, (Var, Const)) for term in formula.terms())
+
+
+def _holds_fixpoint(formula: Formula) -> bool:
+    return any(isinstance(node, FixpointPred)
+               or any(isinstance(term, FixpointTerm) for term in node.terms())
+               for node in formula.walk())
+
+
+def _dnf(formula: Formula, scope: tuple[str, ...], taken: set[str]):
+    """``formula`` pushed through ``And``/``Or``/``∃``: a list of
+    disjuncts, each ``(items, lifted)`` with ``items`` its conjuncts as
+    ``(formula, names of the lifted ∃ variables enclosing it)`` and
+    ``lifted`` its ``∃`` variables; ``None`` above :data:`MAX_DISJUNCTS`.
+    ``taken`` holds the names an ``∃`` must not reuse to be lifted."""
+    if isinstance(formula, (And, Or)):
+        conjunction = isinstance(formula, And)
+        result: list = [((), ())] if conjunction else []
+        for operand in formula.operands:
+            parts = _dnf(operand, scope, taken)
+            if parts is None:
+                return None
+            if conjunction:
+                result = [(items + more, lifted + extra)
+                          for items, lifted in result for more, extra in parts]
+            else:
+                result += parts
+            if len(result) > MAX_DISJUNCTS:
+                return None
+        return result
+    if isinstance(formula, Exists) and formula.var.name not in taken:
+        name = formula.var.name
+        taken.add(name)
+        parts = _dnf(formula.body, scope + (name,), taken)
+        if parts is None:
+            return None
+        outer = formula.free_variables()
+        if all(name in _bound_by([item for item, _ in items], outer)
+               for items, _ in parts):
+            return [(items, (formula.var,) + lifted) for items, lifted in parts]
+    return [(((formula, scope),), ())]
+
+
+def _bound_by(items, bound) -> set[str]:
+    """``bound`` plus the variables a join over ``items`` binds: the
+    arguments of its relation atoms (and of fixpoint predicates over
+    variables and constants), closed under the ``=``/``in`` atoms that
+    bind a variable from bound terms (the planner's generators)."""
+    bound = set(bound)
+    for item in items:
+        if isinstance(item, RelAtom) and _joinable(item) or (
+                isinstance(item, FixpointPred)
+                and all(isinstance(arg, (Var, Const)) for arg in item.args)):
+            bound.update(arg.name for arg in item.args if isinstance(arg, Var))
+    generators = []     # (target, origin): origin bound binds target
+    for item in items:
+        if isinstance(item, (Equals, In)) and _joinable(item):
+            first, second = item.terms()
+            generators.append((first, second))
+            if isinstance(item, Equals):
+                generators.append((second, first))
+    changed = True
+    while changed:
+        changed = False
+        for target, origin in generators:
+            if (isinstance(target, Var) and target.name not in bound
+                    and (isinstance(origin, Const) or origin.name in bound)):
+                bound.add(target.name)
+                changed = True
+    return bound
+
+
+def _disjunct(items, head: tuple[Var, ...], lifted: tuple[Var, ...],
+              relation: str | None, first: bool) -> _Disjunct | None:
+    """Classify one disjunct's conjuncts; ``None`` when a fixpoint node
+    breaks the placement rule (see the module docstring)."""
+    variables = head + lifted
+    names = {var.name for var in variables}
+    lifted_names = {var.name for var in lifted}
+    joins: list[Formula] = []
+    residuals: list[Formula] = []
+    source, scope, full, fixpoints = None, (), False, False
+    for position, (formula, enclosing) in enumerate(items):
+        if _joinable(formula):
+            joins.append(formula)
+        elif not _holds_fixpoint(formula):
+            residuals.append(formula)
+            full = full or relation in _referenced_relations(formula)
+        elif not first:
+            return None
+        elif (position == 0 and isinstance(formula, FixpointPred)
+              and all(isinstance(arg, (Var, Const)) for arg in formula.args)
+              and not any(param.name in names
+                          for param in formula.fixpoint.parameters())):
+            source = formula
+            scope = tuple(var.name for var in head) + enclosing
+            full = fixpoints = True
+        elif (position == len(items) - 1
+              and not formula.free_variables() & lifted_names):
+            residuals.append(formula)
+            full = fixpoints = True
+        else:
+            return None
+    read = set().union(*(formula.free_variables() for formula in residuals))
+    outputs = tuple(var.name for var in head) + tuple(
+        var.name for var in lifted if var.name in read) or tuple(
+        var.name for var in variables[:1])
+    # Variables no join literal binds are walked together, in head order:
+    # each is added unless the ones before it already bind it.
+    sources = joins + ([source] if source is not None else [])
+    outside = set().union(*(formula.free_variables()
+                            for formula in sources)) - names
+    bound = _bound_by(sources, outside)
+    walked: list[str] = []
+    for var in variables:
+        if var.name not in bound:
+            walked.append(var.name)
+            bound = _bound_by(joins, bound | {var.name})
+    return _Disjunct(
+        variables, outputs, tuple(walked), tuple(joins), source, scope,
+        tuple((formula, tuple(index for index, name in enumerate(outputs)
+                              if name in formula.free_variables()))
+              for formula in residuals),
+        tuple(index for index, formula in enumerate(joins)
+              if isinstance(formula, RelAtom) and formula.name == relation),
+        full, fixpoints)
+
+
+def _quantified(formula: Formula) -> tuple[Var, ...]:
+    """The variables the formula's ``∃``/``∀`` nodes bind, outside
+    fixpoint bodies (a fixpoint's own evaluation enumerates those)."""
+    own = (formula.var,) if isinstance(formula, (Exists, Forall)) else ()
+    return own + tuple(var for child in formula.children()
+                       for var in _quantified(child))
+
+
+class _Split(NamedTuple):
+    """A formula split over its head: ``disjuncts``, or ``None`` when it
+    stays whole, and ``quantified``, its quantified variables."""
+
+    formula: Formula
+    disjuncts: tuple[_Disjunct, ...] | None
+    quantified: tuple[Var, ...]
+
+
+def _split(formula: Formula, head: tuple[Var, ...],
+           relation: str | None) -> _Split:
+    """``formula`` as a union of joins over the ``head`` variables (the
+    query head, a fixpoint's columns, whose relation is ``relation``, or
+    none for an ``∃`` checked on its own)."""
+    taken = {var.name for var in head} | formula.free_variables()
+    parts = _dnf(formula, (), taken)
+    disjuncts = None
+    if parts is not None and parts[0][0][0][0] is not formula:
+        split = [_disjunct(items, head, lifted, relation, index == 0)
+                 for index, (items, lifted) in enumerate(parts)]
+        # Two disjuncts that each walk a candidate product would walk
+        # the head twice where the whole formula walks it once.
+        if (None not in split
+                and sum(bool(disjunct.walked) for disjunct in split) < 2):
+            disjuncts = tuple(split)
+    return _Split(formula, disjuncts, _quantified(formula))
+
+
+class _Candidates:
+    """A variable's id-encoded candidates: ``ids`` in candidate order
+    and ``ranks``, each id's first position there."""
+
+    __slots__ = ("ids", "ranks")
+
+    def __init__(self, ids: list[int]):
+        self.ids = ids
+        # Filled from the end, so an id met twice keeps its first rank.
+        self.ranks = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+class _Outside:
+    """The complement of a candidate list, as unary rows.  A negated
+    literal over it is the candidate filter of a variable a join literal
+    binds: the planner applies it as soon as the variable is bound and,
+    the literal being negative, never scans it."""
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, candidates: _Candidates):
+        self.ranks = candidates.ranks
+
+    def __contains__(self, row: tuple) -> bool:
+        return row[0] not in self.ranks
+
+
+class _Product:
+    """The candidate product of the variables no join literal binds, as
+    rows for the join planner, generated afresh by every scan.  The
+    first scan is the oracle's walk over that product, which counts its
+    rows as quantifier iterations."""
+
+    __slots__ = ("names", "lists", "ctx", "counted")
+
+    def __init__(self, names: tuple[str, ...], lists: list[list[int]],
+                 ctx: "_Context"):
+        self.names, self.lists, self.ctx = names, lists, ctx
+        self.counted = False
+
+    def __len__(self) -> int:
+        return math.prod(len(ids) for ids in self.lists)
+
+    def __iter__(self):
+        if not self.counted:
+            self.counted = True
+            self.ctx.walked(self.names, [len(ids) for ids in self.lists])
+        return itertools.product(*self.lists)
+
+
+class SharedState:
+    """What the seminaive evaluations of one instance can share, none of
+    it depending on the ranges an evaluation uses.
+
+    ``interned`` is the instance seen through one store (each relation
+    interned once) and ``pool`` indexes its rows; ``splits`` holds each
+    formula's split, ``encodings`` each candidate list already
+    id-encoded, reused while an evaluation ranges over that very list,
+    and ``confined`` which relation columns lie within which of them.
+    An evaluation builds its own unless its :class:`Evaluator` carries
+    one in ``shared``; range derivation shares one across all its
+    evaluations of an instance.
+    """
+
+    def __init__(self, instance: Instance,
+                 tracer: Tracer | NullTracer | None = None):
+        self.interned = InternedInstance(instance)
+        self.pool = IndexPool(tracer)
+        self.splits: dict[tuple, _Split] = {}
+        self.encodings: dict[tuple, tuple[Collection, _Candidates]] = {}
+        self.confined: dict[tuple, tuple[object, _Candidates, bool]] = {}
+
+    def split(self, formula: Formula, head: tuple[Var, ...],
+              relation: str | None) -> _Split:
+        key = (id(formula), head, relation)
+        entry = self.splits.get(key)
+        if entry is None or entry.formula is not formula:
+            entry = self.splits[key] = _split(formula, head, relation)
+        return entry
+
+    def encode(self, key: tuple, source: Collection[Value]) -> _Candidates:
+        entry = self.encodings.get(key)
+        if entry is None or entry[0] is not source:
+            intern = self.interned.store.intern
+            entry = self.encodings[key] = (
+                source, _Candidates([intern(value) for value in source]))
+        return entry[1]
+
+    def confines(self, key: str, rows, position: int,
+                 candidates: _Candidates) -> bool:
+        """Whether every row of ``rows`` (read under ``key``) has its
+        value at ``position`` among ``candidates``: then a variable a
+        join binds there needs no candidate filter.  Computed once per
+        row set and candidate list."""
+        entry = self.confined.get((key, position))
+        if (entry is None or entry[0] is not rows
+                or entry[1] is not candidates):
+            ranks = candidates.ranks
+            entry = self.confined[(key, position)] = (
+                rows, candidates, all(row[position] in ranks for row in rows))
+        return entry[2]
 
 
 class _Context:
@@ -296,23 +597,21 @@ class _Context:
         max_domain: int,
         max_product: int,
         variable_ranges: Mapping[str, Collection[Value]] | None,
-        fixpoint_ranges: Mapping[str, Mapping[str, Collection[Value]]] | None,
         tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
         max_memo: int = DEFAULT_MAX_MEMO,
+        shared: SharedState | None = None,
     ):
         self.instance = instance
         self.tracer = tracer if tracer is not None else get_tracer()
         self.domains = _DomainCache(active, max_domain, self.tracer)
         self.max_product = max_product
         self.variable_ranges = dict(variable_ranges or {})
-        self.fixpoint_ranges = {
-            name: dict(ranges) for name, ranges in (fixpoint_ranges or {}).items()
-        }
         self.strategy = strategy
         #: Relations bound by enclosing fixpoints: name -> frozenset of rows.
         self.rel_env: dict[str, frozenset[tuple[Value, ...]]] = {}
-        #: Cache of fixpoint results keyed by (fixpoint, parameter values).
+        #: Cache of fixpoint results keyed by (fixpoint, parameter values,
+        #: rows of the enclosing relations the body references).
         self.fixpoint_cache: dict[tuple, frozenset[tuple[Value, ...]]] = {}
         #: Statistics (exposed for benchmarks).
         self.stats = {"atom_checks": 0, "formula_checks": 0,
@@ -328,87 +627,128 @@ class _Context:
         self.max_memo = max_memo
         self.satisfy_memo: dict[tuple, bool] = {}
         #: Interned kernel (seminaive strategy only): every env binds
-        #: dense ids from its store, `candidates` go through the encoded
-        #: cache below and relation probes read its rows.  ``None`` (the
-        #: naive oracle) selects the object path.
-        self.interned = (InternedInstance(instance)
-                         if strategy == "seminaive" else None)
+        #: dense ids from the shared state's store, candidates are
+        #: encoded into it and relation reads take its rows, indexed by
+        #: its pool.  ``None`` (the naive oracle) selects the object path.
+        self.shared: SharedState | None = None
+        self.interned: InternedInstance | None = None
+        if strategy == "seminaive":
+            self.shared = shared or SharedState(instance, self.tracer)
+            self.interned = self.shared.interned
         self.store = None if self.interned is None else self.interned.store
-        self._encoded_domains: dict[tuple, list[int]] = {}
         #: Per-formula (free variables, referenced relations), computed once.
         #: Keyed by ``id(formula)``: AST nodes are immutable and outlive
         #: the context, and structural hashing of a subtree on every
         #: lookup is exactly the per-node cost memoization must avoid.
-        self._profiles: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
-        #: Guarded ∃ (interned contexts only): guards by ``id`` of the
-        #: quantifier, candidate ranks by ``id`` of the cached candidate
-        #: list, the instance relations' index pool, and per fixpoint
-        #: relation the rows its pool indexes (new rows get a new pool).
-        self._guards: dict[int, _Guard | None] = {}
-        self._ranks: dict[int, dict[int, int]] = {}
-        self.instance_pool = IndexPool(self.tracer)
-        self._stage_pools: dict[str, tuple[frozenset, IndexPool]] = {}
+        self._profiles: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        #: Per fixpoint node (by ``id``): the first structurally equal
+        #: node seen, whose ``id`` keys ``fixpoint_cache``, and the
+        #: body's parameter names.
+        self._fixpoints: dict[int, tuple[Fixpoint, tuple[str, ...]]] = {}
+        self._representatives: dict[Fixpoint, Fixpoint] = {}
+        #: The index pool of each row set a plan reads besides the
+        #: instance's (a new row set, a new pool).
+        self._pools: dict[str, tuple[object, IndexPool]] = {}
 
-    def profile(self, formula: Formula) -> tuple[tuple[str, ...], frozenset[str]]:
-        """Free-variable names (sorted) and referenced relation names."""
+    def profile(self, formula: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Free-variable names and referenced relation names (sorted)."""
         cached = self._profiles.get(id(formula))
         if cached is None:
             cached = (tuple(sorted(formula.free_variables())),
-                      _referenced_relations(formula))
+                      tuple(sorted(_referenced_relations(formula))))
             self._profiles[id(formula)] = cached
+        return cached
+
+    def fixpoint(self, fixpoint: Fixpoint) -> tuple[Fixpoint, tuple[str, ...]]:
+        """The representative of the fixpoints equal to ``fixpoint`` and
+        its parameter names (sorted), computed once per node."""
+        cached = self._fixpoints.get(id(fixpoint))
+        if cached is None:
+            columns = set(fixpoint.column_names)
+            cached = (self._representatives.setdefault(fixpoint, fixpoint),
+                      tuple(name for name in self.profile(fixpoint.body)[0]
+                            if name not in columns))
+            self._fixpoints[id(fixpoint)] = cached
         return cached
 
     def candidates(self, var_name: str, typ: Type) -> Collection:
         """Values a variable ranges over: its range if given, else dom(T, D).
 
-        Interned contexts return (and cache) the id-encoded candidate
-        list; the enumeration order matches the object path's, so stats
-        and short-circuiting behave identically."""
+        Interned contexts return (and cache) a :class:`_Candidates`,
+        whose ``ids`` list the id-encoded values in the object path's
+        order, so enumeration order and short-circuiting are the
+        oracle's."""
         if self.store is None:
             if var_name in self.variable_ranges:
                 return self.variable_ranges[var_name]
             return self.domains.domain(typ)
-        ranged = var_name in self.variable_ranges
-        key = ("range", var_name) if ranged else ("domain", typ)
-        cached = self._encoded_domains.get(key)
-        if cached is None:
-            source = (self.variable_ranges[var_name] if ranged
-                      else self.domains.domain(typ))
-            cached = [self.store.intern(value) for value in source]
-            self._encoded_domains[key] = cached
-        return cached
+        assert self.shared is not None
+        if var_name in self.variable_ranges:
+            return self.shared.encode(("range", var_name),
+                                      self.variable_ranges[var_name])
+        return self.shared.encode(("domain", typ), self.domains.domain(typ))
 
-    def candidate_ranks(self, candidates: Collection[int]) -> dict[int, int]:
-        """Each id of an interned candidate list (as :meth:`candidates`
-        returns and caches it) mapped to its first position there."""
-        ranks = self._ranks.get(id(candidates))
-        if ranks is None:
-            ranks = {}
-            for rank, vid in enumerate(candidates):
-                ranks.setdefault(vid, rank)
-            self._ranks[id(candidates)] = ranks
-        return ranks
+    def split(self, formula: Formula, head: tuple[Var, ...],
+              relation: str | None) -> tuple[_Disjunct, ...] | None:
+        """The disjuncts ``formula`` is evaluated as, or ``None`` when it
+        is walked whole: when it does not split, or when one of its
+        quantified variables has too many candidates.  That variable's
+        enumeration raises :class:`EvalError` or
+        :class:`DomainTooLarge` where the oracle's walk reaches it, and
+        a join could reach it on other rows or none."""
+        assert self.shared is not None
+        split = self.shared.split(formula, head, relation)
+        if split.disjuncts is None or not all(
+                self._enumerable(var) for var in split.quantified):
+            return None
+        return split.disjuncts
 
-    def guard(self, quantifier: Exists) -> _Guard | None:
-        key = id(quantifier)
-        if key not in self._guards:
-            self._guards[key] = _find_guard(
-                quantifier, self.instance.schema.relation_names)
-        return self._guards[key]
+    def disjuncts(self, formula: Formula, head: tuple[Var, ...],
+                  relation: str | None) -> tuple[_Disjunct, ...]:
+        """The disjuncts of :meth:`split`, or the formula whole: one
+        residual over the head's candidate product."""
+        return self.split(formula, head, relation) or (
+            _disjunct((((formula, ()),)), head, (), relation, True),)
 
-    def guard_rows(self, name: str) -> tuple[frozenset, IndexPool]:
-        """A relation's rows and the pool indexing them, with the
-        precedence of a relation atom: an enclosing fixpoint's current
-        stage first, else the interned instance relation."""
+    def _enumerable(self, var: Var) -> bool:
+        """Whether ``var``'s candidates pass the checks ``_bindings``
+        makes: ``max_product``, and ``max_domain`` without a range."""
+        if var.name in self.variable_ranges:
+            return len(self.variable_ranges[var.name]) <= self.max_product
+        assert var.typ is not None
+        return (self.domains.size(var.typ)
+                <= min(self.max_product, self.domains.max_domain))
+
+    def walked(self, names, sizes) -> None:
+        """Account for a join plan walking the product of the candidates
+        of ``names`` (``sizes`` of them), as an enumeration does."""
+        product = math.prod(sizes)
+        self.stats["quantifier_iterations"] += product
+        if self.tracer.enabled:
+            shape = tuple(zip(names, sizes))
+            if shape not in self.traced_enumerations:
+                self.traced_enumerations.add(shape)
+                self.tracer.event("enumerate", vars=list(names),
+                                  sizes=list(sizes), product=product)
+            self.tracer.count("eval.enumerations")
+
+    def source(self, key: str, rows) -> tuple[str, object, IndexPool]:
+        """``rows`` as a join plan reads them under ``key``, with a pool
+        that lives as long as ``key`` names this very row set."""
+        entry = self._pools.get(key)
+        if entry is None or entry[0] is not rows:
+            entry = self._pools[key] = (rows, IndexPool(self.tracer))
+        return key, rows, entry[1]
+
+    def relation(self, name: str) -> tuple[str, object, IndexPool]:
+        """A relation atom's rows, with the precedence ``_satisfy``
+        gives them: an enclosing fixpoint's current stage first, else
+        the interned instance relation."""
         rows = self.rel_env.get(name)
         if rows is None:
-            assert self.interned is not None
-            return self.interned.rows(name), self.instance_pool
-        entry = self._stage_pools.get(name)
-        if entry is None or entry[0] is not rows:
-            entry = (rows, IndexPool(self.tracer))
-            self._stage_pools[name] = entry
-        return entry
+            assert self.shared is not None
+            return name, self.shared.interned.rows(name), self.shared.pool
+        return self.source(name, rows)
 
 
 class Evaluator:
@@ -421,10 +761,14 @@ class Evaluator:
         max_fixpoint_stages: guard on fixpoint iteration counts.
         variable_ranges: optional restricted-domain ranges, variable name
             to a collection of candidate values (restricted semantics).
-        strategy: ``"seminaive"`` (the default: delta-driven over
-            interned ids) or ``"naive"`` (the object-level reference
-            oracle); see the module docstring.
+        strategy: ``"seminaive"`` (the default: joins over interned ids)
+            or ``"naive"`` (the object-level reference oracle); see the
+            module docstring.
     """
+
+    #: State that seminaive evaluations of its instance share instead of
+    #: building their own (see :class:`SharedState`).
+    shared: SharedState | None = None
 
     def __init__(
         self,
@@ -452,25 +796,33 @@ class Evaluator:
 
     def evaluate(self, query: Query, inst: Instance) -> frozenset[CTuple]:
         """Compute ``Q(I)``: the set of head tuples satisfying the body."""
-        report = check_query(query, self.schema)
+        check_query(query, self.schema)
         ctx = self._context(query.body, inst)
-        head_vars = [Var(n, t) for n, t in query.head]
-        results: set[CTuple] = set()
+        head_vars = tuple(Var(n, t) for n, t in query.head)
         with ctx.tracer.span("query",
                              head=[name for name, _ in query.head]) as span:
-            for env in self._bindings(head_vars, ctx, {}):
-                if self._satisfy(query.body, env, ctx):
-                    if ctx.store is not None:
-                        results.add(CTuple(ctx.store.value(env[v.name])
-                                           for v in head_vars))
-                    else:
-                        results.add(CTuple(env[v.name] for v in head_vars))
+            if ctx.store is None:
+                results = {CTuple(env[v.name] for v in head_vars)
+                           for env in self._bindings(list(head_vars), ctx, {})
+                           if self._satisfy(query.body, env, ctx)}
+                if ctx.tracer.enabled:
+                    nodes = sum(value_node_count(row) for row in results)
+            else:
+                self._check_product(head_vars, ctx)
+                rows: set[Row] = set()
+                for disjunct in ctx.disjuncts(query.body, head_vars, None):
+                    self._disjunct_rows(disjunct, len(head_vars), {}, ctx,
+                                        rows)
+                value = ctx.store.value
+                results = {CTuple(map(value, row)) for row in rows}
+                if ctx.tracer.enabled:   # each row: its tuple node + items
+                    sizes = {vid: value_node_count(value(vid))
+                             for vid in {vid for row in rows for vid in row}}
+                    nodes = sum(1 + sum(map(sizes.__getitem__, row))
+                                for row in rows)
             span.set(rows=len(results))
             if ctx.tracer.enabled:
-                ctx.tracer.count(
-                    "space.answer_nodes",
-                    sum(value_node_count(row) for row in results),
-                )
+                ctx.tracer.count("space.answer_nodes", nodes)
         self._finish(ctx)
         return frozenset(results)
 
@@ -524,13 +876,14 @@ class Evaluator:
     # -- machinery ---------------------------------------------------------
 
     def _context(self, formula: Formula, inst: Instance) -> _Context:
-        fixpoint_ranges: dict[str, dict[str, Collection[Value]]] = {}
         tracer = self.tracer if self.tracer is not None else get_tracer()
+        shared = self.shared
         return _Context(
             inst, lambda: active_atoms(inst, constants_of(formula)),
             self.max_domain_size, self.max_product,
-            self.variable_ranges, fixpoint_ranges, tracer,
-            strategy=self.strategy,
+            self.variable_ranges, tracer, strategy=self.strategy,
+            shared=(shared if shared is not None
+                    and shared.interned.instance is inst else None),
         )
 
     def _finish(self, ctx: _Context) -> None:
@@ -546,6 +899,23 @@ class Evaluator:
             if ctx.store is not None:
                 ctx.tracer.gauge("space.interned_values", len(ctx.store))
 
+    @staticmethod
+    def _check_product(variables, ctx: _Context) -> list[Collection]:
+        """The variables' candidates, once their product is known to
+        stay within ``max_product``."""
+        domains = []
+        total = 1
+        for var in variables:
+            assert var.typ is not None
+            domains.append(ctx.candidates(var.name, var.typ))
+            total *= len(domains[-1])
+            if total > ctx.max_product:
+                raise EvalError(
+                    f"enumeration of {total}+ bindings exceeds cap "
+                    f"{ctx.max_product}"
+                )
+        return domains
+
     def _bindings(
         self,
         variables: list[Var],
@@ -553,18 +923,8 @@ class Evaluator:
         base_env: dict[str, Value],
     ) -> Iterator[dict[str, Value]]:
         """Enumerate environments extending base_env over the variables."""
-        domains = []
-        total = 1
-        for var in variables:
-            assert var.typ is not None
-            candidates = ctx.candidates(var.name, var.typ)
-            domains.append(list(candidates))
-            total *= len(domains[-1])
-            if total > ctx.max_product:
-                raise EvalError(
-                    f"enumeration of {total}+ bindings exceeds cap "
-                    f"{ctx.max_product}"
-                )
+        domains = [list(candidates) if ctx.store is None else candidates.ids
+                   for candidates in self._check_product(variables, ctx)]
         if ctx.tracer.enabled and variables:
             shape = tuple((v.name, len(d)) for v, d in zip(variables, domains))
             if shape not in ctx.traced_enumerations:
@@ -573,7 +933,7 @@ class Evaluator:
                     "enumerate",
                     vars=[v.name for v in variables],
                     sizes=[len(d) for d in domains],
-                    product=total,
+                    product=math.prod(len(d) for d in domains),
                 )
             ctx.tracer.count("eval.enumerations")
         for combo in itertools.product(*domains):
@@ -615,8 +975,8 @@ class Evaluator:
             if ctx.store is not None:
                 if term.fixpoint.arity == 1:
                     return ctx.store.intern_set(row[0] for row in rows)
-                return ctx.store.intern_set(
-                    ctx.store.intern_tuple(row) for row in rows)
+                return ctx.store.intern_set(ctx.store.intern_tuple(row)
+                                            for row in rows)
             if term.fixpoint.arity == 1:
                 return CSet(row[0] for row in rows)
             return CSet(CTuple(row) for row in rows)
@@ -726,15 +1086,14 @@ class Evaluator:
             row = tuple(self._eval_term(a, env, ctx) for a in formula.args)
             return row in rows
         if isinstance(formula, Exists):
-            witnesses = (None if ctx.store is None
-                         else self._guarded_witnesses(formula, env, ctx))
-            if witnesses is not None:
-                name = formula.var.name
-                for value in witnesses:
-                    ctx.stats["quantifier_iterations"] += 1
-                    extended = dict(env)
-                    extended[name] = value
-                    if self._satisfy(formula.body, extended, ctx):
+            # Interned: a union of joins over no head, when it splits.
+            disjuncts = (None if ctx.store is None
+                         else ctx.split(formula, (), None))
+            if disjuncts is not None:
+                rows: set[Row] = set()
+                for disjunct in disjuncts:
+                    self._disjunct_rows(disjunct, 0, env, ctx, rows)
+                    if rows:
                         return True
                 return False
             for extended in self._bindings([formula.var], ctx, env):
@@ -748,114 +1107,270 @@ class Evaluator:
             return True
         raise EvalError(f"unknown formula {formula!r}")
 
-    def _guarded_witnesses(self, formula: Exists, env: dict[str, Value],
-                           ctx: _Context) -> list[int] | None:
-        """The candidates of ``formula.var`` its guard admits, in
-        candidate order; ``None`` (walk the range) when the quantifier
-        has no guard or a key variable is unbound.  The product cap
-        applies to the unguarded candidate count, as in the range walk.
-        """
-        guard = ctx.guard(formula)
-        if guard is None or not env.keys() >= guard.key_vars:
-            return None
-        var = formula.var
-        assert var.typ is not None
-        candidates = ctx.candidates(var.name, var.typ)
-        size = len(candidates)
-        if size > ctx.max_product:
-            raise EvalError(
-                f"enumeration of {size}+ bindings exceeds cap "
-                f"{ctx.max_product}"
-            )
-        ranks = ctx.candidate_ranks(candidates)
-        if ctx.tracer.enabled:
-            shape = ((var.name, size), guard.relation)
-            if shape not in ctx.traced_enumerations:
-                ctx.traced_enumerations.add(shape)
-                ctx.tracer.event("enumerate", vars=[var.name], sizes=[size],
-                                 product=size, guard=guard.relation)
-        key = tuple(self._eval_term(term, env, ctx) for term in guard.key_terms)
-        rows, pool = ctx.guard_rows(guard.relation)
-        position = guard.position
-        found = {row[position]
-                 for row in pool.probe(guard.relation, rows,
-                                       guard.key_positions, key)}
-        return sorted((vid for vid in found if vid in ranks),
-                      key=ranks.__getitem__)
-
     def _fixpoint_rows(
         self, fixpoint: Fixpoint, env: dict[str, Value], ctx: _Context
     ) -> frozenset[tuple[Value, ...]]:
-        # Cache on the fixpoint identity plus the values of its parameters
-        # and the state of any enclosing fixpoint relations it references.
-        param_values = tuple(
-            (v.name, env.get(v.name)) for v in fixpoint.parameters()
-        )
-        outer_rels = tuple(sorted(
-            (name, rows) for name, rows in ctx.rel_env.items()
-        ))
-        key = (fixpoint, param_values, outer_rels)
+        # Cache on the fixpoint (up to structural equality) plus the values
+        # of its parameters and the rows of the enclosing fixpoint
+        # relations its body reads.
+        representative, params = ctx.fixpoint(fixpoint)
+        key = (id(representative),
+               tuple((name, env.get(name)) for name in params),
+               tuple((name, ctx.rel_env[name])
+                     for name in ctx.profile(fixpoint.body)[1]
+                     if name in ctx.rel_env))
         if key in ctx.fixpoint_cache:
             ctx.tracer.count("eval.fixpoint_cache_hits")
             return ctx.fixpoint_cache[key]
 
-        column_vars = [Var(n, t) for n, t in fixpoint.columns]
+        column_vars = tuple(Var(n, t) for n, t in fixpoint.columns)
+        name = fixpoint.name
 
-        def body_rows(current: frozenset[tuple[Value, ...]],
-                      skip_known: bool) -> frozenset[tuple[Value, ...]]:
-            """One application of phi against ``current``.
-
-            With ``skip_known`` (seminaive IFP), candidate rows already
-            in ``current`` are not re-checked: the inflationary union
-            keeps them regardless of whether phi still derives them.
-            """
+        def with_relation(current, derive):
+            """``derive()`` with ``name`` bound to ``current``."""
             ctx.stats["fixpoint_stages"] += 1
-            previous = ctx.rel_env.get(fixpoint.name)
-            ctx.rel_env[fixpoint.name] = current
+            previous = ctx.rel_env.get(name)
+            ctx.rel_env[name] = current
             try:
-                rows = set()
-                for extended in self._bindings(column_vars, ctx, env):
-                    row = tuple(extended[v.name] for v in column_vars)
-                    if skip_known and row in current:
-                        ctx.stats["stage_skips"] += 1
-                        continue
-                    if self._satisfy(fixpoint.body, extended, ctx):
-                        rows.add(row)
-                return frozenset(rows)
+                return derive()
             finally:
                 if previous is None:
-                    del ctx.rel_env[fixpoint.name]
+                    del ctx.rel_env[name]
                 else:
-                    ctx.rel_env[fixpoint.name] = previous
+                    ctx.rel_env[name] = previous
 
-        def naive_stage(current: frozenset[tuple[Value, ...]]) -> frozenset[tuple[Value, ...]]:
-            return body_rows(current, False)
+        def naive_stage(current: frozenset) -> frozenset:
+            """One application of phi against ``current``: every
+            candidate row checked (the oracle)."""
+            return with_relation(current, lambda: frozenset(
+                tuple(extended[v.name] for v in column_vars)
+                for extended in self._bindings(list(column_vars), ctx, env)
+                if self._satisfy(fixpoint.body, extended, ctx)))
 
-        def delta_stage(current: frozenset[tuple[Value, ...]]) -> frozenset[tuple[Value, ...]]:
-            """The seminaive IFP stage: only the rows new at this stage."""
-            rows = body_rows(current, True)
-            ctx.stats["delta_rows"] += len(rows)
-            return rows
+        if ctx.store is not None:
+            self._check_product(column_vars, ctx)
+            disjuncts = ctx.disjuncts(fixpoint.body, column_vars, name)
+            width = len(column_vars)
+            delta: frozenset | None = None
+
+            def joined(known: frozenset) -> frozenset:
+                """phi of the bound relation minus ``known``, as a union
+                of joins: every disjunct in full, or after an IFP stage
+                the ``Δ::`` variants of the disjuncts that have them."""
+                rows: set[Row] = set()
+                for disjunct in disjuncts:
+                    if delta is None or disjunct.full:
+                        self._disjunct_rows(disjunct, width, env, ctx, rows,
+                                            known)
+                    elif disjunct.delta:
+                        self._disjunct_rows(disjunct, width, env, ctx, rows,
+                                            known, delta)
+                return frozenset(rows)
+
+            def ifp_stage(current: frozenset) -> frozenset:
+                """The seminaive IFP stage: phi(J) minus J."""
+                nonlocal delta
+                delta = with_relation(current, lambda: joined(current))
+                ctx.stats["delta_rows"] += len(delta)
+                return delta
+
+            def pfp_stage(current: frozenset) -> frozenset:
+                return with_relation(current, lambda: joined(frozenset()))
+        else:
+            ifp_stage = pfp_stage = naive_stage
 
         kind = "ifp" if fixpoint.kind == IFP else "pfp"
-        with ctx.tracer.span("fixpoint", name=fixpoint.name,
+        with ctx.tracer.span("fixpoint", name=name,
                              kind=kind, strategy=ctx.strategy) as span:
             if fixpoint.kind == IFP:
-                stage = (delta_stage if ctx.strategy == "seminaive"
-                         else naive_stage)
-                result = iterate_ifp(stage, self.max_fixpoint_stages,
+                result = iterate_ifp(ifp_stage, self.max_fixpoint_stages,
                                      ctx.tracer)
             else:
-                # PFP stages *replace* the relation, so no candidate can
-                # be skipped; the seminaive strategy still benefits from
-                # _satisfy memoization of stage-invariant subformulas.
-                result = iterate_pfp(naive_stage, self.max_fixpoint_stages,
+                result = iterate_pfp(pfp_stage, self.max_fixpoint_stages,
                                      ctx.tracer)
             span.set(rows=len(result))
             if ctx.tracer.enabled:
                 ctx.tracer.observe("space.fixpoint_rows", len(result))
         ctx.fixpoint_cache[key] = result
         return result
+
+    def _disjunct_rows(self, disjunct: _Disjunct, width: int,
+                       env: dict[str, Value], ctx: _Context, derived: set,
+                       known: frozenset = frozenset(),
+                       delta: frozenset | None = None) -> None:
+        """Add to ``derived`` the head rows (the first ``width``
+        variables) of one disjunct under ``env``, except those already in
+        ``derived`` or in ``known`` (the stage's J; rows found there count
+        as stage skips).  Without ``delta`` the disjunct fires in full;
+        with it, its ``Δ::`` variants fire, each reading ``delta`` at one
+        atom on the fixpoint relation.  A disjunct holding no fixpoint
+        node checks no residual for those rows, as the oracle's ``∨``
+        skips a disjunct once one before it holds."""
+        candidates = {var.name: ctx.candidates(var.name, var.typ)
+                      for var in disjunct.variables}
+        source_rows = frozenset()
+        if disjunct.source is not None:
+            if not all(candidates[name] for name in disjunct.scope):
+                return
+            source_rows = self._fixpoint_rows(disjunct.source.fixpoint, env,
+                                              ctx)
+        if not all(candidates.values()):
+            return
+        if not disjunct.joins and disjunct.source is None:
+            self._walk(disjunct, candidates, env, ctx, derived, known)
+            return
+        bindings = self._join(disjunct, candidates, source_rows, env, ctx,
+                              delta)
+        if not disjunct.fixpoints:
+            heads = (bindings if width == len(disjunct.outputs)
+                     else {row[:width] for row in bindings})
+            fresh = heads - known
+            ctx.stats["stage_skips"] += len(heads) - len(fresh)
+            fresh -= derived
+            if not disjunct.residuals:
+                derived |= fresh
+                return
+            if len(fresh) < len(heads):
+                bindings = {row for row in bindings if row[:width] in fresh}
+        if disjunct.residuals:
+            ranks = [candidates[name].ranks for name in disjunct.outputs]
+            bindings = sorted(bindings, key=lambda row: tuple(
+                rank[vid] for rank, vid in zip(ranks, row)))
+        for residual, positions in disjunct.residuals:
+            verdicts: dict[tuple, bool] = {}
+            kept = []
+            for row in bindings:
+                key = tuple(row[position] for position in positions)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    scope = dict(env)
+                    scope.update(zip(disjunct.outputs, row))
+                    verdict = verdicts[key] = self._satisfy(residual, scope,
+                                                            ctx)
+                if verdict:
+                    kept.append(row)
+            bindings = kept
+        heads = {row[:width] for row in bindings}
+        if disjunct.fixpoints:
+            ctx.stats["stage_skips"] += len(heads) - len(heads - known)
+            heads -= known
+        derived |= heads
+
+    def _walk(self, disjunct: _Disjunct, candidates: dict[str, _Candidates],
+              env: dict[str, Value], ctx: _Context, derived: set,
+              known: frozenset) -> None:
+        """A disjunct with no join literal: its head variables walk
+        their candidate product lazily, in the oracle's order, and each
+        row not skipped is checked against the residuals in turn."""
+        names = disjunct.walked
+        lists = [candidates[name].ids for name in names]
+        ctx.walked(names, [len(ids) for ids in lists])
+        residuals = [residual for residual, _ in disjunct.residuals]
+        skips = 0
+        for row in itertools.product(*lists):
+            if not disjunct.fixpoints:
+                if row in known:
+                    skips += 1
+                    continue
+                if row in derived:
+                    continue
+            scope = dict(env)
+            scope.update(zip(names, row))
+            if all(self._satisfy(residual, scope, ctx)
+                   for residual in residuals):
+                if row in known:
+                    skips += 1
+                else:
+                    derived.add(row)
+        ctx.stats["stage_skips"] += skips
+
+    @staticmethod
+    def _join(disjunct: _Disjunct, candidates: dict[str, _Candidates],
+              source_rows: frozenset, env: dict[str, Value], ctx: _Context,
+              delta: frozenset | None) -> set[Row]:
+        """The distinct ``outputs`` bindings of a disjunct's join part:
+        one plan per variant, compiled by the Datalog join planner."""
+
+        def term(arg: Term):
+            if isinstance(arg, Const):
+                return DConst(arg.value)
+            if arg.name in candidates:
+                return DVar(arg.name)
+            try:
+                return DConst(ctx.store.value(env[arg.name]))
+            except KeyError:
+                raise EvalError(f"unbound variable {arg.name!r}") from None
+
+        # A variable needs no candidate filter when nothing binds it
+        # (it is walked) or a relation column confines it to its
+        # candidates already: a column of an instance relation (or of
+        # the fixpoint source) found within them, or column i of the
+        # fixpoint relation itself (its rows come from this kernel, so
+        # their column i lies within the candidates of column variable
+        # i) read by that very variable.
+        settled = set(disjunct.walked)
+        for index in disjunct.delta:
+            for column, arg in zip(disjunct.variables,
+                                   disjunct.joins[index].args):
+                if isinstance(arg, Var) and arg.name == column.name:
+                    settled.add(arg.name)
+
+        def confine(key: str, rows, args) -> None:
+            for position, arg in enumerate(args):
+                if (isinstance(arg, Var) and arg.name in candidates
+                        and ctx.shared.confines(key, rows, position,
+                                                candidates[arg.name])):
+                    settled.add(arg.name)
+
+        joins: list = []
+        if disjunct.source is not None:
+            key = _SOURCE + disjunct.source.fixpoint.name
+            joins.append(Literal(key, [term(arg)
+                                       for arg in disjunct.source.args]))
+            confine(key, source_rows, disjunct.source.args)
+        offset = len(joins)
+        for atom in disjunct.joins:
+            if isinstance(atom, RelAtom):
+                joins.append(Literal(atom.name,
+                                     [term(arg) for arg in atom.args]))
+                if atom.name not in ctx.rel_env:
+                    confine(atom.name, ctx.interned.rows(atom.name),
+                            atom.args)
+            else:
+                left, right = atom.terms()
+                op = "=" if isinstance(atom, Equals) else "in"
+                joins.append(BuiltinLiteral(op, term(left), term(right)))
+        walked = disjunct.walked
+        if walked:
+            product = _Product(walked, [candidates[name].ids
+                                        for name in walked], ctx)
+            joins.append(Literal(_PRODUCT, [DVar(name) for name in walked]))
+        joins += [Literal(_CANDIDATES + name, [DVar(name)], positive=False)
+                  for name in candidates if name not in settled]
+
+        def source(predicate: str) -> tuple:
+            if predicate == _PRODUCT:
+                return predicate, product, ctx.shared.pool
+            if predicate.startswith(_CANDIDATES):
+                return (predicate, _Outside(
+                    candidates[predicate[len(_CANDIDATES):]]),
+                    ctx.shared.pool)
+            if predicate.startswith(_SOURCE):
+                return ctx.source(predicate, source_rows)
+            if predicate.startswith(DELTA):
+                return ctx.source(predicate, delta)
+            return ctx.relation(predicate)
+
+        head = Literal(_HEAD, [DVar(name) for name in disjunct.outputs])
+        rows: list[Row] = []
+        for at in (None,) if delta is None else disjunct.delta:
+            body = list(joins)
+            if at is not None:
+                atom = body[offset + at]
+                body[offset + at] = Literal(DELTA + atom.predicate,
+                                            atom.terms)
+            rows += plan(Rule(head, body), source, ctx.store)()
+        return set(rows)
 
 
 def evaluate(

@@ -36,6 +36,20 @@ Row = Tuple  # a tuple of values
 Rows = FrozenSet[Row]
 StageFn = Callable[[Rows], Rows]
 
+#: Recognised evaluation strategies of both engines (the calculus
+#: evaluator and the Datalog engine): the object oracle and the interned
+#: production engine.
+STRATEGIES = ("naive", "seminaive")
+
+
+def check_strategy(strategy: str) -> None:
+    """Reject a strategy name outside :data:`STRATEGIES`."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown evaluation strategy {strategy!r}; "
+            f"expected one of {STRATEGIES}"
+        )
+
 
 class FixpointError(Exception):
     """Raised when a fixpoint iteration cannot complete."""

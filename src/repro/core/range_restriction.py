@@ -46,8 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from ..objects.domains import DomainTooLarge
 from ..objects.types import TupleType, Type
 from ..objects.values import CSet, CTuple, Value, value_sort_key
+from .evaluation import EvalError, Evaluator, SharedState
+from .fixpoint import FixpointError
 from .syntax import (
     And,
     Const,
@@ -762,6 +765,12 @@ class _RangeComputer:
         #: :meth:`variable_ranges`).
         self._ordered: dict[Path, list[Value]] = {}
         self.changed = False
+        #: One interned instance, instance index pool and split per
+        #: formula, shared by every rule-9/9' evaluation: each relation
+        #: is interned and each index built once per derivation, not
+        #: once per binding.
+        self._shared = SharedState(instance)
+        self._columns: dict[tuple[str, int], frozenset[Value]] = {}
 
     def add(self, path: Path, values) -> None:
         bucket = self.ranges.setdefault(path, set())
@@ -770,6 +779,16 @@ class _RangeComputer:
         if len(bucket) != before:
             self.changed = True
             self._ordered.pop(path, None)
+
+    def _column(self, name: str, index: int) -> frozenset[Value]:
+        """The values at column ``index`` of relation ``name``, read from
+        the instance once per derivation, not once per round."""
+        column = self._columns.get((name, index))
+        if column is None:
+            column = self._columns[(name, index)] = frozenset(
+                row.component(index)
+                for row in self.instance.relation(name).tuples)
+        return column
 
     def variable_ranges(self) -> dict[str, list[Value]]:
         """Each variable's range as a list in one canonical order
@@ -827,11 +846,10 @@ class _RangeComputer:
 
     def _collect_rel_atom(self, formula: RelAtom) -> None:
         if formula.name in self.database_relations:
-            rel = self.instance.relation(formula.name)
             for index, arg in enumerate(formula.args, start=1):
                 path = term_path(arg)
                 if path is not None:
-                    self.add(path, (row.component(index) for row in rel.tuples))
+                    self.add(path, self._column(formula.name, index))
                 if isinstance(arg, FixpointTerm):
                     self._collect_fixpoint(arg.fixpoint, None)
         # Fixpoint-bound relation atoms: flow column ranges to arguments.
@@ -945,14 +963,18 @@ class _RangeComputer:
         for combo in _it.product(*pools):
             yield dict(zip(names, combo))
 
-    def _holds(self, formula: Formula, env: dict) -> bool:
-        from .evaluation import Evaluator
-
+    def _evaluator(self) -> Evaluator:
+        """An evaluator over the current ranges, reading the shared
+        interned instance."""
         evaluator = Evaluator(
             self.instance.schema,
             variable_ranges=self.variable_ranges(),
         )
-        return evaluator.evaluate_formula(
+        evaluator.shared = self._shared
+        return evaluator
+
+    def _holds(self, formula: Formula, env: dict) -> bool:
+        return self._evaluator().evaluate_formula(
             formula, self.instance, env,
             free_variable_types={
                 n: self.variable_types[n]
@@ -962,16 +984,11 @@ class _RangeComputer:
         )
 
     def _evaluate_fixpoint_term(self, term: FixpointTerm, env: dict):
-        from .evaluation import Evaluator
-
-        evaluator = Evaluator(
-            self.instance.schema,
-            variable_ranges=self.variable_ranges(),
-        )
         try:
-            rows = evaluator.evaluate_fixpoint(term.fixpoint, self.instance, env)
-        except Exception:  # noqa: BLE001 - retried on a later round
-            return None
+            rows = self._evaluator().evaluate_fixpoint(term.fixpoint,
+                                                       self.instance, env)
+        except (EvalError, DomainTooLarge, FixpointError):
+            return None  # this binding's value is undefined: left out
         if term.fixpoint.arity == 1:
             return CSet(row[0] for row in rows)
         return CSet(CTuple(row) for row in rows)

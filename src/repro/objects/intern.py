@@ -11,7 +11,8 @@ trees.
 The engines (``datalog/engine.py``, ``core/evaluation.py``) start every
 evaluation from an empty store wrapped in an :class:`InternedInstance`,
 which interns a relation's rows the first time the evaluation reads
-that relation.  Their ids are therefore assigned in first-read order,
+that relation (range derivation shares one across its evaluations of a
+query).  Their ids are therefore assigned in first-read order,
 not in the order below, and evaluation compares ids only by equality,
 membership and member-set inclusion — never by ``<``.
 

@@ -34,7 +34,7 @@ from tests.conftest import (
 )
 from repro.core.builder import V, exists, ifp, pfp, rel
 from repro.core.builder import query as build_query
-from repro.core.evaluation import Evaluator, active_atoms, evaluate
+from repro.core.evaluation import EvalError, Evaluator, active_atoms, evaluate
 from repro.core.fixpoint import PFPDivergenceError
 from repro.core.typecheck import check_query
 from repro.datalog import (
@@ -44,6 +44,7 @@ from repro.datalog import (
     inflationary_stages,
 )
 from repro.objects import Atom, CTuple
+from repro.objects.domains import DomainTooLarge
 from repro.obs import Tracer, use_tracer
 from repro.workloads import (
     bipartite_graph,
@@ -153,6 +154,112 @@ class TestWorkloadQueries:
 
 
 # ---------------------------------------------------------------------------
+# Fixpoints with parameters: stage totals
+# ---------------------------------------------------------------------------
+
+class TestParameterizedFixpointStages:
+    """A fixpoint adds stages for every distinct parameter binding that
+    reaches it, so the production engine must reach it exactly where the
+    oracle does, and both must re-evaluate it only when an enclosing
+    relation its body reads has changed."""
+
+    def test_fixpoint_parameter_bound_by_exists(self):
+        """``∃z (S_z(x) ∧ G(x, z))``: the oracle tries every z of the
+        range at the fixpoint, whatever G holds."""
+        x, y, z = V("x", "U"), V("y", "U"), V("z", "U")
+        G = rel("G")
+        q = build_query([x], exists(z, ifp("S", [y], G(z, y))(x) & G(x, z)))
+        assert _calc_outcome(q, chain_graph(5), "naive") == \
+            (("ok", frozenset()), (9, 0))
+        assert_calc_strategies_agree(q, chain_graph(5))
+
+    def test_inner_fixpoint_ignores_unread_outer_relation(self):
+        """R (parameter x) never reads the enclosing S, so it is not
+        re-evaluated when S grows: 17 stages in both lanes."""
+        x, y, z, z2, w = (V(name, "U") for name in ("x", "y", "z", "z2",
+                                                    "w"))
+        G = rel("G")
+        R = ifp("R", [w], G(x, w) | exists(z2, rel("R")(z2) & G(z2, w)))
+        S = ifp("S", [x, y],
+                G(x, y) | (exists(z, rel("S")(x, z) & G(z, y)) & R(y)))
+        q = build_query([x, y], S(x, y))
+        outcome = _calc_outcome(q, chain_graph(5), "naive")
+        assert outcome[0][0] == "ok" and outcome[1] == (17, 0)
+        assert_calc_strategies_agree(q, chain_graph(5))
+
+
+# ---------------------------------------------------------------------------
+# Enumeration caps: raised where the oracle's walk reaches the quantifier
+# ---------------------------------------------------------------------------
+
+def _capped_outcome(query, inst, strategy, caps):
+    try:
+        evaluator = Evaluator(inst.schema, strategy=strategy, **caps)
+        return ("ok", evaluator.evaluate(query, inst))
+    except (EvalError, DomainTooLarge) as error:
+        return (type(error).__name__, str(error))
+
+
+def _set_relation_instance(g_rows):
+    """Atoms a, b, c: ``|dom(U)| = 3`` and ``|dom({U})| = 8``."""
+    from repro.objects import database_schema, instance
+
+    schema = database_schema(R=["U", "{U}"], G=["U", "U"])
+    return instance(schema, G=g_rows,
+                    R=[("a", frozenset({"b"})), ("c", frozenset())])
+
+
+CAPS = [pytest.param({"max_product": 4}, id="max_product"),
+        pytest.param({"max_domain_size": 4}, id="max_domain_size")]
+
+
+class TestCapsWhereTheOracleReaches:
+    """``∃s:{U}`` has more candidates than the caps allow, the head's
+    ``x:U`` fewer.  The oracle enumerates s, and so raises, only where
+    its walk reaches the ``∃``: behind a conjunct that holds, or a
+    disjunct that fails.  A join over R(x, s) would bind s on its own."""
+
+    x, s = V("x", "U"), V("s", "{U}")
+    SHAPES = [
+        pytest.param(build_query([x], rel("G")(x, x)
+                                 & exists(s, rel("R")(x, s))),
+                     id="behind-a-conjunct"),
+        pytest.param(build_query([x], ~rel("G")(x, x)
+                                 | exists(s, rel("R")(x, s))),
+                     id="in-a-later-disjunct"),
+    ]
+
+    @pytest.mark.parametrize("caps", CAPS)
+    @pytest.mark.parametrize("query", SHAPES)
+    def test_unreached_exists_raises_nothing(self, query, caps):
+        inst = _set_relation_instance([("a", "b")])
+        naive = _capped_outcome(query, inst, "naive", caps)
+        assert naive[0] == "ok"
+        assert _capped_outcome(query, inst, "seminaive", caps) == naive
+
+    @pytest.mark.parametrize("caps", CAPS)
+    @pytest.mark.parametrize("query", SHAPES)
+    def test_reached_exists_raises_on_both_lanes(self, query, caps):
+        """G(a, a) lets the walk reach the ``∃`` at x = a."""
+        inst = _set_relation_instance([("a", "b"), ("a", "a")])
+        naive = _capped_outcome(query, inst, "naive", caps)
+        assert naive[0] in ("EvalError", "DomainTooLarge")
+        assert _capped_outcome(query, inst, "seminaive", caps) == naive
+
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_residual_ahead_of_a_join_is_reached(self, caps):
+        """``¬∃s R(x, s) ∧ G(x, x)``: the walk reaches the ``∃`` for
+        every x, though no G(x, x) row would survive a join."""
+        x, s = self.x, self.s
+        query = build_query([x], ~exists(s, rel("R")(x, s))
+                            & rel("G")(x, x))
+        inst = _set_relation_instance([("a", "b")])
+        naive = _capped_outcome(query, inst, "naive", caps)
+        assert naive[0] in ("EvalError", "DomainTooLarge")
+        assert _capped_outcome(query, inst, "seminaive", caps) == naive
+
+
+# ---------------------------------------------------------------------------
 # Random CALC(+IFP/PFP) queries
 # ---------------------------------------------------------------------------
 
@@ -231,18 +338,25 @@ def _rg_instance(**relations):
 
 class TestRestrictedRanges:
     def test_guard_witness_outside_range_is_not_tried(self):
-        """G(a, b) makes b a witness of z, but z's range is empty."""
+        """G(a, b) makes b a witness of z, but z's range is empty: the
+        join stops at z's empty candidate list, before reading G."""
         inst = _rg_instance(G=[("a", "b")])
         x, z = V("x", "U"), V("z", "U")
         q = build_query([x], exists(z, rel("G")(x, z)))
         ranges = {"x": {Atom("a")}, "z": set()}
         assert assert_restricted_strategies_agree(q, inst, ranges) \
             == (("ok", frozenset()), (0, 0))
-        assert _seminaive_counters(q, inst, ranges)["eval.index_probes"] == 1
+        assert "eval.index_probes" not in _seminaive_counters(q, inst,
+                                                              ranges)
 
     def test_guard_on_enclosing_fixpoint_relation(self):
-        """Squaring's ∃z is guarded by S, whose rows change every stage:
-        each stage probes a fresh index."""
+        """Squaring joins S with S, whose rows change every stage: each
+        Δ::S row whose z lies in z's range probes an index on the
+        stage's S, once per delta variant.  Stage 2 reads the 8 edges:
+        4 have their target in range and 4 their source, so 8 probes
+        over 2 indexes of stage-2 S (one per probed column).  Stage 3's
+        3 delta rows are pairs of odd atoms, none in range, so it
+        probes, and builds, nothing."""
         inst = chain_graph(9)
         atoms = sorted(inst.atoms(), key=repr)
         q = _squaring_closure(ifp)
@@ -250,7 +364,9 @@ class TestRestrictedRanges:
         outcome = assert_restricted_strategies_agree(q, inst, ranges)
         assert outcome[0][0] == "ok" and outcome[0][1]
         counters = _seminaive_counters(q, inst, ranges)
-        assert counters["eval.index_builds"] == counters["ifp.stages"]
+        assert counters["eval.delta_rows"] == 11
+        assert counters["eval.index_builds"] == 2
+        assert counters["eval.index_probes"] == 8
 
     def test_nested_exists_chain(self):
         """∃o ∃p (R(o, c, p) ∧ G(p, o)): the outer ∃o is guarded by R on

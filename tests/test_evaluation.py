@@ -161,7 +161,9 @@ class TestGuards:
             evaluate(q, p_instance, max_product=10)
 
     def test_stats_collected(self, p_instance):
-        evaluator = Evaluator(p_instance.schema)
+        """The naive lane checks the atom per candidate (the seminaive
+        one joins it, checking no formula)."""
+        evaluator = Evaluator(p_instance.schema, strategy="naive")
         x = V("x", "U")
         evaluator.evaluate(query([x], rel("P")(x, x)), p_instance)
         assert evaluator.last_stats is not None
@@ -170,14 +172,16 @@ class TestGuards:
     def test_atom_checks_count_atoms_only(self, p_instance):
         """Regression: ``atom_checks`` once counted every formula node.
         On a pure-atom body the two counters coincide; wrapping the atom
-        in connectives grows ``formula_checks`` but not ``atom_checks``."""
+        in connectives grows ``formula_checks`` but not ``atom_checks``.
+        Both run on the naive lane, which checks the body per candidate
+        where the seminaive one joins a bare atom."""
         x = V("x", "U")
-        plain = Evaluator(p_instance.schema)
+        plain = Evaluator(p_instance.schema, strategy="naive")
         plain.evaluate(query([x], rel("P")(x, x)), p_instance)
         assert (plain.last_stats["atom_checks"]
                 == plain.last_stats["formula_checks"] > 0)
 
-        wrapped = Evaluator(p_instance.schema)
+        wrapped = Evaluator(p_instance.schema, strategy="naive")
         wrapped.evaluate(query([x], ~(~rel("P")(x, x))), p_instance)
         assert (wrapped.last_stats["atom_checks"]
                 == plain.last_stats["atom_checks"])

@@ -230,31 +230,23 @@ trace
   parse_query
   query head=['x', 'y'] rows=3
     • domain type={U} cardinality=8
-    • enumerate vars=['x', 'y'] sizes=[8, 8] product=64
     fixpoint name=S kind=ifp strategy=seminaive rows=3
-      • enumerate vars=['z'] sizes=[8] product=8 guard=G
       • ifp.stage stage=1 size=2 delta=2
       • ifp.stage stage=2 size=3 delta=1
       • ifp.stage stage=3 size=3 delta=0
 == counters ==
-domain[{U}]                 8
-domains.materialized        1
-eval.atom_checks            293
-eval.delta_rows             3
-eval.enumerations           4
-eval.fixpoint_cache_hits    63
-eval.fixpoint_stages        3
-eval.formula_checks         706
-eval.index_builds           1
-eval.index_probes           185
-eval.quantifier_iterations  297
-eval.stage_skips            5
-ifp.stages                  3
-space.answer_nodes          15
-space.domain_nodes          20
-space.domain_values         8
-space.interned_values       11
-space.peak_fixpoint_rows    3
+domain[{U}]               8
+domains.materialized      1
+eval.delta_rows           3
+eval.fixpoint_stages      3
+eval.index_builds         1
+eval.index_probes         3
+ifp.stages                3
+space.answer_nodes        15
+space.domain_nodes        20
+space.domain_values       8
+space.interned_values     11
+space.peak_fixpoint_rows  3
 == metrics ==
 space.domain_cardinality  count=1 min=8 mean=8 p50=8 p90=8 max=8
 space.fixpoint_rows       count=1 min=3 mean=3 p50=3 p90=3 max=3

@@ -322,3 +322,58 @@ class TestManyQueriesAgree:
                 inst = instance(schema, G=list(rows))
                 q = query_factory("{U}")
             assert verify_safety(q, inst), (query_factory, trial)
+
+
+class TestRangeDerivationEvaluations:
+    """Rule 9/9' ranges come from evaluating subformulas once per
+    parameter binding; those evaluations share one interned instance
+    and let only the evaluator's typed errors drop a value."""
+
+    def test_each_relation_interned_once(self, monkeypatch):
+        """calc-order-nest evaluates its IFP term once per customer and
+        round, yet reads (and so interns) ``Order`` once."""
+        from repro.objects.intern import InternedInstance
+        from repro.workloads import (
+            GOLDEN_SEED,
+            question_by_name,
+            supply_chain_instance,
+        )
+
+        first_reads = []
+        rows = InternedInstance.rows
+
+        def counting_rows(self, name):
+            if name not in self._rows:
+                first_reads.append(name)
+            return rows(self, name)
+
+        monkeypatch.setattr(InternedInstance, "rows", counting_rows)
+        query = question_by_name("calc-order-nest").build()
+        compute_ranges(query, supply_chain_instance(1, GOLDEN_SEED))
+        assert first_reads == ["Order"]
+
+    def test_evaluator_bug_propagates(self, p_instance, monkeypatch):
+        from repro.core.evaluation import Evaluator
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("evaluator bug")
+
+        monkeypatch.setattr(Evaluator, "evaluate_fixpoint", broken)
+        with pytest.raises(RuntimeError, match="evaluator bug"):
+            compute_ranges(nest_query_ifp(), p_instance)
+
+    def test_diverging_pfp_term_only_leaves_its_value_out(self):
+        """``s = PFP(P(x, y) ∧ (¬Q(y) ∨ D(x)), Q)`` flips forever for
+        x = a (no D(a)) and converges to {c} for x = b."""
+        from repro.core.builder import pfp
+
+        x, y, s = V("x", "U"), V("y", "U"), V("s", "{U}")
+        y2 = V("y2", "U")
+        Q = rel("Q")
+        term = pfp("Q", [y2], rel("P")(x, y2) & (~Q(y2) | rel("D")(x)))
+        q = query([x, s], exists(y, rel("P")(x, y)) & eq(s, term.as_term()))
+        inst = instance(database_schema(P=["U", "U"], D=["U"]),
+                        P=[("a", "c"), ("b", "c")], D=[("b",)])
+        ranges = compute_ranges(q, inst)
+        assert ranges["s"] == [cset(atom("c"))]
+        assert ranges["x"] == [atom("a"), atom("b")]
