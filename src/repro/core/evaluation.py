@@ -26,13 +26,20 @@ the strategy alone picks the engine:
   literally, the oracle the differential tests compare against.
 * ``"seminaive"`` (default) — the production engine: fixpoint stages and
   query heads are computed set at a time, as joins over interned ids.
-  Each evaluation starts from an empty
-  :class:`repro.objects.intern.ValueStore` (range derivation's
+  Every evaluation over an instance reads that instance's one interned
+  encoding (:mod:`repro.objects.intern`: the store, each relation's id
+  rows, interned the first time any evaluation reads the relation, and
+  the instance indexes) through its own
+  :class:`repro.objects.intern.InternedInstance` (range derivation's
   evaluations of one query share one, see :class:`SharedState`);
-  environments bind dense ids, and an instance relation is interned the
-  first time it is read (:class:`repro.objects.intern.InternedInstance`).
-  Ids follow first-read order, not the Definition 4.2 order, and are
-  compared only by equality, membership and member-set inclusion.
+  environments bind dense ids.  Ids follow first-read order, not the
+  Definition 4.2 order, and are compared only by equality, membership
+  and member-set inclusion.  The counters stay per evaluation:
+  ``space.interned_values`` counts the values the evaluation's ids name
+  (the relations it read, with their subvalues, and the constants,
+  candidates and derived tuples and sets it interned), and
+  ``eval.index_builds`` the distinct indexes it probes, an instance
+  index an earlier evaluation built included.
 
 **The join kernel.**  Section 3 equates CALC+IFP with inflationary
 Datalog, and Theorem 5.1's range functions take a range-restricted
@@ -535,23 +542,26 @@ class _Product:
 
 
 class SharedState:
-    """What the seminaive evaluations of one instance can share, none of
-    it depending on the ranges an evaluation uses.
+    """What the seminaive evaluations of one query over one instance can
+    share, none of it depending on the ranges an evaluation uses.
 
-    ``interned`` is the instance seen through one store (each relation
-    interned once) and ``pool`` indexes its rows; ``splits`` holds each
-    formula's split, ``encodings`` each candidate list already
-    id-encoded, reused while an evaluation ranges over that very list,
-    and ``confined`` which relation columns lie within which of them.
-    An evaluation builds its own unless its :class:`Evaluator` carries
-    one in ``shared``; range derivation shares one across all its
-    evaluations of an instance.
+    ``interned`` is the view of the instance's encoding the evaluations
+    read and count through, and ``pool`` probes the instance indexes,
+    which the encoding keeps for the instance's lifetime.  The rest is
+    query-dependent and lives only as long as this state: ``splits``
+    holds each formula's split, ``encodings`` each candidate list
+    already id-encoded, reused while an evaluation ranges over that very
+    list, and ``confined`` which relation columns lie within which of
+    them.  An evaluation builds its own unless its :class:`Evaluator`
+    carries one in ``shared``; range derivation shares one across all
+    its evaluations of an instance, so their counters add up as one
+    evaluation's would.
     """
 
     def __init__(self, instance: Instance,
                  tracer: Tracer | NullTracer | None = None):
         self.interned = InternedInstance(instance)
-        self.pool = IndexPool(tracer)
+        self.pool = IndexPool(tracer, self.interned.indexes)
         self.splits: dict[tuple, _Split] = {}
         self.encodings: dict[tuple, tuple[Collection, _Candidates]] = {}
         self.confined: dict[tuple, tuple[object, _Candidates, bool]] = {}
@@ -567,7 +577,7 @@ class SharedState:
     def encode(self, key: tuple, source: Collection[Value]) -> _Candidates:
         entry = self.encodings.get(key)
         if entry is None or entry[0] is not source:
-            intern = self.interned.store.intern
+            intern = self.interned.intern
             entry = self.encodings[key] = (
                 source, _Candidates([intern(value) for value in source]))
         return entry[1]
@@ -626,16 +636,16 @@ class _Context:
         self.memo_enabled = strategy == "seminaive"
         self.max_memo = max_memo
         self.satisfy_memo: dict[tuple, bool] = {}
-        #: Interned kernel (seminaive strategy only): every env binds
-        #: dense ids from the shared state's store, candidates are
-        #: encoded into it and relation reads take its rows, indexed by
-        #: its pool.  ``None`` (the naive oracle) selects the object path.
+        #: Interned kernel (seminaive strategy only): ``store`` is the
+        #: shared state's view of the instance's encoding.  Every env
+        #: binds dense ids from it, candidates are encoded into it and
+        #: relation reads take its rows, indexed by the shared state's
+        #: pool.  ``None`` (the naive oracle) selects the object path.
         self.shared: SharedState | None = None
-        self.interned: InternedInstance | None = None
+        self.store: InternedInstance | None = None
         if strategy == "seminaive":
             self.shared = shared or SharedState(instance, self.tracer)
-            self.interned = self.shared.interned
-        self.store = None if self.interned is None else self.interned.store
+            self.store = self.shared.interned
         #: Per-formula (free variables, referenced relations), computed once.
         #: Keyed by ``id(formula)``: AST nodes are immutable and outlive
         #: the context, and structural hashing of a subtree on every
@@ -897,7 +907,8 @@ class Evaluator:
                 if value:
                     ctx.tracer.count(f"eval.{name}", value)
             if ctx.store is not None:
-                ctx.tracer.gauge("space.interned_values", len(ctx.store))
+                ctx.tracer.gauge("space.interned_values",
+                                 ctx.store.interned_values())
 
     @staticmethod
     def _check_product(variables, ctx: _Context) -> list[Collection]:
@@ -1027,8 +1038,8 @@ class Evaluator:
             row = tuple(self._eval_term(a, env, ctx) for a in formula.args)
             if formula.name in ctx.rel_env:
                 return row in ctx.rel_env[formula.name]
-            if ctx.interned is not None:
-                return row in ctx.interned.rows(formula.name)
+            if ctx.store is not None:
+                return row in ctx.store.rows(formula.name)
             return CTuple(row) in ctx.instance.relation(formula.name).tuples
         if isinstance(formula, FixpointPred):
             stats["atom_checks"] += 1
@@ -1334,7 +1345,7 @@ class Evaluator:
                 joins.append(Literal(atom.name,
                                      [term(arg) for arg in atom.args]))
                 if atom.name not in ctx.rel_env:
-                    confine(atom.name, ctx.interned.rows(atom.name),
+                    confine(atom.name, ctx.store.rows(atom.name),
                             atom.args)
             else:
                 left, right = atom.terms()
@@ -1348,13 +1359,17 @@ class Evaluator:
         joins += [Literal(_CANDIDATES + name, [DVar(name)], positive=False)
                   for name in candidates if name not in settled]
 
+        # The product and the candidate filters are this join's own row
+        # sets; a pool kept on ``ctx`` would tie the product's reference
+        # to ``ctx`` into a cycle.
+        pool = IndexPool(ctx.tracer)
+
         def source(predicate: str) -> tuple:
             if predicate == _PRODUCT:
-                return predicate, product, ctx.shared.pool
+                return predicate, product, pool
             if predicate.startswith(_CANDIDATES):
                 return (predicate, _Outside(
-                    candidates[predicate[len(_CANDIDATES):]]),
-                    ctx.shared.pool)
+                    candidates[predicate[len(_CANDIDATES):]]), pool)
             if predicate.startswith(_SOURCE):
                 return ctx.source(predicate, source_rows)
             if predicate.startswith(DELTA):

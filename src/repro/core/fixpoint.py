@@ -165,19 +165,29 @@ class IndexPool:
       new pool is how its indexes are invalidated (delta views, PFP
       stages, the calculus engine's fixpoint relations).
 
-    The immutable EDB tables keep one persistent pool per evaluation.
+    An instance's relations never change, so their indexes outlive the
+    evaluation: each evaluation's instance pool is given the instance
+    encoding's dict as ``built`` (see :mod:`repro.objects.intern`),
+    takes an index from it when another evaluation built it already,
+    and stores an index there only once it is complete.  Such a pool
+    never takes :meth:`append`.
 
-    Every build bumps the ``eval.index_builds`` counter and every lookup
-    ``eval.index_probes``, making the scan-vs-probe tradeoff visible to
-    the bench observatory.
+    The first lookup of an index in a pool bumps the
+    ``eval.index_builds`` counter, whether the pool builds the index or
+    takes it from ``built``, so the counter is the number of distinct
+    indexes an evaluation probes, whatever ran before it.  Every lookup
+    bumps ``eval.index_probes``.  Together they make the scan-vs-probe
+    tradeoff visible to the bench observatory.
     """
 
-    __slots__ = ("_indexes", "_tracer")
+    __slots__ = ("_indexes", "_built", "_tracer")
 
     _EMPTY: Tuple = ()
 
-    def __init__(self, tracer: Tracer | NullTracer | None = None):
+    def __init__(self, tracer: Tracer | NullTracer | None = None,
+                 built: dict[tuple, dict] | None = None):
         self._indexes: dict[tuple, dict] = {}
+        self._built = self._indexes if built is None else built
         self._tracer = get_tracer() if tracer is None else tracer
 
     def probe(
@@ -195,8 +205,11 @@ class IndexPool:
         index_key = (source_key, positions)
         index = self._indexes.get(index_key)
         if index is None:
-            index = {}
-            _add_rows(index, rows, positions)
+            index = self._built.get(index_key)
+            if index is None:
+                index = {}
+                _add_rows(index, rows, positions)
+                self._built[index_key] = index
             self._indexes[index_key] = index
             if self._tracer.enabled:
                 self._tracer.count("eval.index_builds")

@@ -765,10 +765,13 @@ class _RangeComputer:
         #: :meth:`variable_ranges`).
         self._ordered: dict[Path, list[Value]] = {}
         self.changed = False
-        #: One interned instance, instance index pool and split per
-        #: formula, shared by every rule-9/9' evaluation: each relation
-        #: is interned and each index built once per derivation, not
-        #: once per binding.
+        #: One view of the instance's interned encoding, one instance
+        #: index pool and one split per formula, shared by every
+        #: rule-9/9' evaluation: splits and candidate encodings are made
+        #: once per derivation, not once per binding, and the
+        #: derivation's interned-value and index-build counts add up as
+        #: one evaluation's.  The relations' id rows and indexes live in
+        #: the instance's encoding, built once per instance.
         self._shared = SharedState(instance)
         self._columns: dict[tuple[str, int], frozenset[Value]] = {}
 

@@ -52,16 +52,22 @@ errors (``in`` or ``sub`` on a non-set) are raised where a binding meets
 them, so one can surface on a program whose text-order join stops at an
 empty literal before reaching the offending one.
 
-The semi-naive engine starts each evaluation from an empty
-:class:`repro.objects.intern.ValueStore`; rows become tuples of dense
-ids, and an EDB relation is interned when the first plan that mentions
-it is compiled (:class:`repro.objects.intern.InternedInstance`), so
-relations the program never mentions are never interned.  Ids follow that first-read
-order, not the Definition 4.2 order, and are compared only by equality,
-membership and member-set inclusion.  Index lifetimes follow the row
-sets (:class:`repro.core.fixpoint.IndexPool`):
+The semi-naive engine reads the instance's shared interned encoding
+(:mod:`repro.objects.intern`) through a per-evaluation
+:class:`repro.objects.intern.InternedInstance`; rows become tuples of
+dense ids, and an EDB relation is interned when the first plan that
+mentions it is compiled in any evaluation over the instance, so
+relations no program mentions are never interned.  Ids follow that
+first-read order, not the Definition 4.2 order, and are compared only
+by equality, membership and member-set inclusion.  The counters stay
+per evaluation: ``space.interned_values`` counts the values this
+evaluation's ids name (the relations it read, with their subvalues, and
+the constants it interned), and ``eval.index_builds`` the distinct
+indexes it probes, an EDB index built by an earlier evaluation
+included.  Index lifetimes follow the row sets
+(:class:`repro.core.fixpoint.IndexPool`):
 
-* EDB indexes persist for the whole evaluation;
+* EDB indexes persist for the instance's lifetime, in its encoding;
 * the inflationary IDB keeps one mutable row set per predicate and one
   pool for the whole evaluation: each stage's fresh rows are added to
   the sets and appended to every index already built over them;
@@ -368,16 +374,15 @@ def _unpack(packed: frozenset, program: Program) -> dict[str, frozenset[Row]]:
 
 
 class _InternedEngine:
-    """Per-evaluation state of the semi-naive engine: the EDB interned
-    on first read (with its :class:`ValueStore`), the persistent EDB
-    index pool and the delta rewriting."""
+    """Per-evaluation state of the semi-naive engine: its view of the
+    instance's interned encoding (the EDB rows and the store), the EDB
+    index pool over the encoding's indexes and the delta rewriting."""
 
     def __init__(self, program: Program, inst: Instance, tracer):
         self.program = program
         self.edb = InternedInstance(inst)
-        self.store = self.edb.store
         self.tracer = tracer
-        self.edb_pool = IndexPool(tracer)
+        self.edb_pool = IndexPool(tracer, self.edb.indexes)
         self.delta_rules = _delta_rules(program)
 
     def fire(self, rules, idb: Mapping[str, set | frozenset],
@@ -403,7 +408,7 @@ class _InternedEngine:
         for rule in rules:
             tracer.heartbeat()
             predicate = rule.head.predicate
-            _tally(derived[predicate], plan(rule, source, self.store)(),
+            _tally(derived[predicate], plan(rule, source, edb)(),
                    idb[predicate], tracer)
         return derived
 
@@ -468,7 +473,7 @@ class _InternedEngine:
         self, result: Mapping[str, set[Row] | frozenset[Row]]
     ) -> dict[str, frozenset[Row]]:
         return {
-            name: frozenset(self.store.unintern_row(row) for row in rows)
+            name: frozenset(self.edb.unintern_row(row) for row in rows)
             for name, rows in result.items()
         }
 
@@ -513,7 +518,8 @@ def _publish(result: Mapping[str, set[Row] | frozenset[Row]],
     if engine is not None:
         result = engine.unintern_result(result)
         if tracer.enabled:
-            tracer.gauge("space.interned_values", len(engine.store))
+            tracer.gauge("space.interned_values",
+                         engine.edb.interned_values())
     if tracer.enabled:
         for name in sorted(result):
             tracer.gauge(f"space.idb[{name}]", len(result[name]))

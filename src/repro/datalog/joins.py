@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Callable
 
 from ..core.fixpoint import IndexPool
-from ..objects.intern import ValueStore
+from ..objects.intern import InternedInstance
 from .syntax import BuiltinLiteral, DatalogError, DConst, DVar, Literal, Rule
 
 Row = tuple
@@ -170,7 +170,7 @@ def _member(rows, key_slots, positive: bool, nxt: _Step) -> _Step:
     return run
 
 
-def _set_members(store: ValueStore, vid: int, op: str) -> frozenset[int]:
+def _set_members(store: InternedInstance, vid: int, op: str) -> frozenset[int]:
     members = store.set_members(vid)
     if members is None:
         if op == "in":
@@ -180,7 +180,7 @@ def _set_members(store: ValueStore, vid: int, op: str) -> frozenset[int]:
     return members
 
 
-def _check(store: ValueStore, op: str, left: int, right: int,
+def _check(store: InternedInstance, op: str, left: int, right: int,
            positive: bool, nxt: _Step) -> _Step:
     if op == "=":
         def run(slots: list) -> None:
@@ -207,7 +207,7 @@ def _assign(source: int, target: int, nxt: _Step) -> _Step:
     return run
 
 
-def _enumerate(store: ValueStore, source: int, target: int,
+def _enumerate(store: InternedInstance, source: int, target: int,
                nxt: _Step) -> _Step:
     def run(slots: list) -> None:
         for member in _set_members(store, slots[source], "in"):
@@ -224,7 +224,7 @@ def _fail(message: str, nxt: _Step | None = None) -> _Step:
 
 
 def plan(rule: Rule, source: _Source,
-         store: ValueStore) -> Callable[[], list[Row]]:
+         store: InternedInstance) -> Callable[[], list[Row]]:
     """Compile ``rule`` against the row sets ``source`` supplies.
 
     Returns a callable producing the head id-tuple of every satisfying

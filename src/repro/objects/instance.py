@@ -115,9 +115,14 @@ class Instance:
 
     Missing relations default to empty.  Construction typechecks every
     tuple against its relation schema.
+
+    ``_encoding`` holds the instance's interned encoding
+    (:class:`repro.objects.intern.InstanceEncoding`), filled by the first
+    seminaive evaluation and kept for the instance's lifetime.  It is
+    not part of the instance's value: ``==`` and hashing ignore it.
     """
 
-    __slots__ = ("schema", "_relations")
+    __slots__ = ("schema", "_relations", "_encoding")
 
     def __init__(
         self,
@@ -134,6 +139,7 @@ class Instance:
             raise SchemaError(f"data for relations not in schema: {unknown}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_relations", relations)
+        object.__setattr__(self, "_encoding", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Instance is immutable")

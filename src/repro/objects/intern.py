@@ -8,17 +8,48 @@ values receive the same id iff they are structurally equal, so relation
 rows become tuples of machine ints and joins compare ids instead of
 trees.
 
-The engines (``datalog/engine.py``, ``core/evaluation.py``) start every
-evaluation from an empty store wrapped in an :class:`InternedInstance`,
-which interns a relation's rows the first time the evaluation reads
-that relation (range derivation shares one across its evaluations of a
-query).  Their ids are therefore assigned in first-read order,
-not in the order below, and evaluation compares ids only by equality,
-membership and member-set inclusion — never by ``<``.
+**One encoding per instance.**  A query is a function of one immutable
+instance, and the engines (``datalog/engine.py``, ``core/evaluation.py``)
+use ids only as names: they compare them by equality, membership and
+member-set inclusion, never by ``<``.  So every seminaive evaluation
+over an :class:`~repro.objects.instance.Instance` shares that
+instance's :class:`InstanceEncoding`: one store, each relation's id rows
+(interned the first time any evaluation reads the relation, so a
+relation no evaluation reads gets no ids) and the hash indexes built
+over those rows.  It is filled lazily and kept for the instance's
+lifetime; an instance made by ``with_relation`` or ``rename_atoms`` is
+a new instance with its own.  Values an evaluation derives (constants,
+candidate lists, fixpoint-term tuples and sets) stay in the store too,
+for the instance's lifetime; over a fixed question mix it stops growing
+after the first round (measured on the supply-chain inventory: 1,415
+values for the GREEN mix at scale 8, 1,288 for YELLOW at scale 8, 196
+for the calculus mix at scale 1, 780 for all 30 questions at scale 4).
+The encoding holds no reference to its instance, so a dropped instance
+is freed by reference counting alone.  Evaluations over one instance
+run one after another; nothing is locked.
 
+Each evaluation reads the encoding through its own
+:class:`InternedInstance`, which keeps the per-evaluation counts what
+an evaluation starting from an empty store would report:
+
+* ``space.interned_values`` is the number of distinct values the
+  evaluation's ids name: the values of the relations it read, with
+  their subvalues, and every value it interned itself;
+* ``eval.index_builds`` counts the distinct indexes an evaluation
+  probes (:class:`repro.core.fixpoint.IndexPool`): an instance index
+  another evaluation built counts as this one's build.
+
+Shared writes publish last: an id enters the store's table only once
+its key and value are in place, and a relation's rows and an index are
+stored only once complete, so an evaluation cut short by an exception
+(an interrupt, an asynchronous abort, ``MemoryError``) leaves the
+encoding consistent for the evaluations after it.
+
+Ids in a shared encoding follow first-read order, not the order below.
 Id assignment by :meth:`ValueStore.from_instance` (and by
-:func:`intern_instance`, which builds on it) is deterministic and
-order-aware.  Values are collected under their *declared* column types
+:func:`intern_instance`, which builds on it) builds a standalone store,
+deterministic and order-aware.  Values are collected under their
+*declared* column types
 (inference would reject heterogeneous-but-conformant sets), grouped by
 type, and the groups are processed in ascending type depth — a proper
 subobject always has a strict-subterm type, hence a strictly smaller
@@ -42,9 +73,10 @@ the same id for every value — ids are stable names within an instance.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
-from .instance import Instance
+from .instance import Instance, Relation
 from .ordering import AtomOrder, sort_key
 from .types import AtomType, SetType, TupleType, Type
 from .values import Atom, CSet, CTuple, Value
@@ -99,7 +131,7 @@ class ValueStore:
         self._values: list[Value | None] = []  # lazy reconstruction cache
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._ids)
 
     def __contains__(self, value: object) -> bool:
         try:
@@ -129,10 +161,14 @@ class ValueStore:
         return vid
 
     def _add(self, key: tuple, value: Value | None) -> int:
-        vid = len(self._keys)
-        self._ids[key] = vid
+        # ``_ids`` names exactly the ids 0..n-1, and an id is published
+        # there last: an ``_add`` cut short by an exception leaves at
+        # most an unnamed tail in ``_keys``/``_values``, dropped here.
+        vid = len(self._ids)
+        del self._keys[vid:], self._values[vid:]
         self._keys.append(key)
         self._values.append(value)
+        self._ids[key] = vid
         return vid
 
     def intern(self, value: Value) -> int:
@@ -213,10 +249,23 @@ class ValueStore:
         return self._add(key, None) if vid is None else vid
 
     def _check_ids(self, ids: Iterable[int]) -> None:
-        total = len(self._keys)
+        total = len(self._ids)
         for vid in ids:
             if not 0 <= vid < total:
                 raise InternError(f"unknown value id {vid!r}")
+
+    def closure(self, ids: Iterable[int]) -> set[int]:
+        """``ids`` and the ids of all their subvalues."""
+        keys = self._keys
+        named = set(ids)
+        pending = [vid for vid in named if keys[vid][0] != "a"]
+        while pending:
+            for vid in keys[pending.pop()][1]:
+                if vid not in named:
+                    named.add(vid)
+                    if keys[vid][0] != "a":
+                        pending.append(vid)
+        return named
 
     # -- deterministic, order-compatible construction ----------------------
 
@@ -261,32 +310,117 @@ def _collect_typed(value: Value, typ: Type,
             _collect_typed(element, typ.element, groups)
 
 
-class InternedInstance:
-    """An instance seen through one evaluation's :class:`ValueStore`.
+class InstanceEncoding:
+    """An instance's interned encoding, shared by every seminaive
+    evaluation over it (see the module docstring): the store, each read
+    relation's id rows and the hash indexes over them, keyed
+    ``(relation name, positions)`` as :class:`repro.core.fixpoint.IndexPool`
+    keys them.  It holds no reference to its instance."""
 
-    The store starts empty (unless one is passed in) and each relation's
-    rows are interned the first time :meth:`rows` reads them, so an
-    evaluation interns only the values of the relations it touches —
-    by Theorem 5.1 all a range-restricted query needs.
-    """
+    __slots__ = ("store", "indexes", "_rows", "_closures")
 
-    __slots__ = ("instance", "store", "_rows")
-
-    def __init__(self, inst: Instance, store: ValueStore | None = None):
-        self.instance = inst
-        self.store = ValueStore() if store is None else store
+    def __init__(self) -> None:
+        self.store = ValueStore()
+        self.indexes: dict[tuple, dict] = {}
         self._rows: dict[str, frozenset[tuple[int, ...]]] = {}
+        self._closures: dict[str, frozenset[int]] = {}
 
-    def rows(self, name: str) -> frozenset[tuple[int, ...]]:
-        """Id rows of relation ``name``, interned on first read (an
-        unknown name raises the instance's usual error)."""
-        rows = self._rows.get(name)
+    @staticmethod
+    def of(inst: Instance) -> "InstanceEncoding":
+        """``inst``'s encoding, created empty on first use."""
+        encoding = inst._encoding
+        if encoding is None:
+            encoding = InstanceEncoding()
+            object.__setattr__(inst, "_encoding", encoding)
+        return encoding
+
+    def rows(self, relation: Relation) -> frozenset[tuple[int, ...]]:
+        """Id rows of ``relation`` (one of the instance's own), interned
+        on first read and stored only once complete."""
+        rows = self._rows.get(relation.name)
         if rows is None:
             intern_row = self.store.intern_row
-            rows = frozenset(intern_row(row.items)
-                             for row in self.instance.relation(name).tuples)
-            self._rows[name] = rows
+            rows = frozenset(intern_row(row.items) for row in relation.tuples)
+            self._rows[relation.name] = rows
         return rows
+
+    def closure(self, name: str) -> frozenset[int]:
+        """The ids relation ``name``'s rows name, with their subvalues'
+        (``name`` read already).  Computed on first demand and kept:
+        every traced evaluation counts it, and ``answer_question``
+        always traces."""
+        closure = self._closures.get(name)
+        if closure is None:
+            closure = frozenset(self.store.closure(
+                chain.from_iterable(self._rows[name])))
+            self._closures[name] = closure
+        return closure
+
+
+class InternedInstance:
+    """One evaluation's view of its instance's :class:`InstanceEncoding`.
+
+    :meth:`rows` reads a relation's id rows, interned on the instance's
+    first read.  The view is also the evaluation's store: ``value``,
+    ``unintern_row``, ``tuple_items`` and ``set_members`` are the
+    shared store's own methods, while :meth:`intern`,
+    :meth:`intern_tuple` and :meth:`intern_set` also record the ids they
+    return, so :meth:`interned_values` can count the values this
+    evaluation's ids name.  ``store`` is the shared
+    :class:`ValueStore` itself; ``indexes`` the encoding's instance
+    indexes, for the evaluation's instance :class:`IndexPool`.
+    """
+
+    __slots__ = ("instance", "store", "indexes", "value", "unintern_row",
+                 "tuple_items", "set_members", "_encoding", "_rows",
+                 "_interned")
+
+    def __init__(self, inst: Instance):
+        encoding = InstanceEncoding.of(inst)
+        store = encoding.store
+        self.instance = inst
+        self.store = store
+        self.indexes = encoding.indexes
+        self.value = store.value
+        self.unintern_row = store.unintern_row
+        self.tuple_items = store.tuple_items
+        self.set_members = store.set_members
+        self._encoding = encoding
+        self._rows: dict[str, frozenset[tuple[int, ...]]] = {}
+        self._interned: set[int] = set()
+
+    def rows(self, name: str) -> frozenset[tuple[int, ...]]:
+        """Id rows of relation ``name`` (an unknown name raises the
+        instance's usual error)."""
+        rows = self._rows.get(name)
+        if rows is None:
+            rows = self._rows[name] = self._encoding.rows(
+                self.instance.relation(name))
+        return rows
+
+    def intern(self, value: Value) -> int:
+        vid = self.store.intern(value)
+        self._interned.add(vid)
+        return vid
+
+    def intern_tuple(self, item_ids: Iterable[int]) -> int:
+        vid = self.store.intern_tuple(item_ids)
+        self._interned.add(vid)
+        return vid
+
+    def intern_set(self, member_ids: Iterable[int]) -> int:
+        vid = self.store.intern_set(member_ids)
+        self._interned.add(vid)
+        return vid
+
+    def interned_values(self) -> int:
+        """The distinct values this evaluation's ids name: the values of
+        the relations it read and those it interned, with their
+        subvalues — the size an empty store would have reached."""
+        named = self.store.closure(self._interned)
+        for name in self._rows:
+            named |= self._encoding.closure(name)
+        return len(named)
 
 
 def intern_instance(
@@ -296,11 +430,13 @@ def intern_instance(
 ) -> tuple[ValueStore, Mapping[str, frozenset[tuple[int, ...]]]]:
     """Intern all of ``inst`` into ``(store, {relation name: id rows})``.
 
-    ``store`` defaults to :meth:`ValueStore.from_instance`, so ids follow
-    the Definition 4.2 order.  The engines do not call this: they intern
-    each relation on first read through :class:`InternedInstance`.
+    ``store`` defaults to a standalone :meth:`ValueStore.from_instance`,
+    so ids follow the Definition 4.2 order.  The engines do not call
+    this: they read the instance's shared encoding through
+    :class:`InternedInstance`.
     """
-    interned = InternedInstance(
-        inst, ValueStore.from_instance(inst, order) if store is None else store)
-    return interned.store, {rel.name: interned.rows(rel.name)
-                            for rel in inst.relations()}
+    if store is None:
+        store = ValueStore.from_instance(inst, order)
+    return store, {rel.name: frozenset(store.intern_row(row.items)
+                                       for row in rel.tuples)
+                   for rel in inst.relations()}
