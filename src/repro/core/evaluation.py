@@ -800,6 +800,10 @@ class Evaluator:
         #: Explicit tracer; None resolves the active one per evaluation,
         #: so ``with use_tracer(...)`` works without rebuilding Evaluators.
         self.tracer = tracer
+        #: The latest evaluation's stats, filled as it runs, so one cut
+        #: short by an exception keeps what it counted.  Its
+        #: ``fixpoint_stages`` is what a tracer counts as ``ifp.stages``
+        #: plus ``pfp.stages``, whether or not one is installed.
         self.last_stats: dict[str, int] | None = None
 
     # -- public API ------------------------------------------------------
@@ -888,20 +892,20 @@ class Evaluator:
     def _context(self, formula: Formula, inst: Instance) -> _Context:
         tracer = self.tracer if self.tracer is not None else get_tracer()
         shared = self.shared
-        return _Context(
+        ctx = _Context(
             inst, lambda: active_atoms(inst, constants_of(formula)),
             self.max_domain_size, self.max_product,
             self.variable_ranges, tracer, strategy=self.strategy,
             shared=(shared if shared is not None
                     and shared.interned.instance is inst else None),
         )
+        self.last_stats = ctx.stats
+        return ctx
 
     def _finish(self, ctx: _Context) -> None:
-        """Publish per-evaluation stats (kept on ``last_stats`` for
-        backwards compatibility, mirrored into the tracer's counters).
-        Zero-valued stats are not mirrored, keeping EXPLAIN output free
-        of counters the evaluation never touched."""
-        self.last_stats = ctx.stats
+        """Publish per-evaluation stats, mirrored into the tracer's
+        counters.  Zero-valued stats are not mirrored, keeping EXPLAIN
+        output free of counters the evaluation never touched."""
         if ctx.tracer.enabled:
             for name, value in ctx.stats.items():
                 if value:
@@ -1131,24 +1135,27 @@ class Evaluator:
                      for name in ctx.profile(fixpoint.body)[1]
                      if name in ctx.rel_env))
         if key in ctx.fixpoint_cache:
-            ctx.tracer.count("eval.fixpoint_cache_hits")
+            if ctx.tracer.enabled:
+                ctx.tracer.count("eval.fixpoint_cache_hits")
             return ctx.fixpoint_cache[key]
 
         column_vars = tuple(Var(n, t) for n, t in fixpoint.columns)
         name = fixpoint.name
 
         def with_relation(current, derive):
-            """``derive()`` with ``name`` bound to ``current``."""
-            ctx.stats["fixpoint_stages"] += 1
+            """``derive()`` with ``name`` bound to ``current``: one
+            stage, counted once it returns, as a tracer counts it."""
             previous = ctx.rel_env.get(name)
             ctx.rel_env[name] = current
             try:
-                return derive()
+                rows = derive()
             finally:
                 if previous is None:
                     del ctx.rel_env[name]
                 else:
                     ctx.rel_env[name] = previous
+            ctx.stats["fixpoint_stages"] += 1
+            return rows
 
         def naive_stage(current: frozenset) -> frozenset:
             """One application of phi against ``current``: every

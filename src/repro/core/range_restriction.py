@@ -44,9 +44,11 @@ polynomial, so the complexity claims are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 from ..objects.domains import DomainTooLarge
+from ..objects.instance import Instance
+from ..objects.schema import DatabaseSchema
 from ..objects.types import TupleType, Type
 from ..objects.values import CSet, CTuple, Value, value_sort_key
 from .evaluation import EvalError, Evaluator, SharedState
@@ -90,6 +92,8 @@ __all__ = [
 #: A variable path: ("x",) for x itself, ("x", i) for x.i.
 Path = tuple
 
+_T = TypeVar("_T")
+
 
 def path_text(path: Path) -> str:
     """Render a path the way queries write it: ``x`` or ``x.2``."""
@@ -105,36 +109,6 @@ def term_path(term: Term) -> Path | None:
     if isinstance(term, Proj):
         return (term.base.name, term.index)
     return None
-
-
-def free_paths(formula: Formula) -> frozenset[Path]:
-    """Paths of *free* variables occurring in a formula.
-
-    Quantified variables and fixpoint column variables are excluded
-    within their scopes.
-    """
-    result: set[Path] = set()
-
-    def visit(f: Formula, bound: frozenset[str]) -> None:
-        for term in f.terms():
-            path = term_path(term)
-            if path is not None and path[0] not in bound:
-                result.add(path)
-            if isinstance(term, FixpointTerm):
-                fix = term.fixpoint
-                visit(fix.body, bound | set(fix.column_names))
-        if isinstance(f, (Exists, Forall)):
-            visit(f.body, bound | {f.var.name})
-            return
-        if isinstance(f, FixpointPred):
-            fix = f.fixpoint
-            visit(fix.body, bound | set(fix.column_names))
-            return
-        for child in f.children():
-            visit(child, bound)
-
-    visit(formula, frozenset())
-    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +748,9 @@ class _RangeComputer:
         #: the instance's encoding, built once per instance.
         self._shared = SharedState(instance)
         self._columns: dict[tuple[str, int], frozenset[Value]] = {}
+        #: The fixpoint stages the rule-9/9' evaluations ran, those cut
+        #: short by an exception included, as a tracer counts them.
+        self.stages = 0
 
     def add(self, path: Path, values) -> None:
         bucket = self.ranges.setdefault(path, set())
@@ -966,19 +943,26 @@ class _RangeComputer:
         for combo in _it.product(*pools):
             yield dict(zip(names, combo))
 
-    def _evaluator(self) -> Evaluator:
-        """An evaluator over the current ranges, reading the shared
-        interned instance."""
+    def _evaluate(self, method: Callable[..., _T], *args: Any,
+                  **kwargs: Any) -> _T:
+        """``method`` (an :class:`Evaluator` method) called on an
+        evaluator over the current ranges, reading the shared interned
+        instance.  The stages it runs count toward :attr:`stages`, also
+        when it raises."""
         evaluator = Evaluator(
             self.instance.schema,
             variable_ranges=self.variable_ranges(),
         )
         evaluator.shared = self._shared
-        return evaluator
+        try:
+            return method(evaluator, *args, **kwargs)
+        finally:
+            if evaluator.last_stats is not None:
+                self.stages += evaluator.last_stats["fixpoint_stages"]
 
     def _holds(self, formula: Formula, env: dict) -> bool:
-        return self._evaluator().evaluate_formula(
-            formula, self.instance, env,
+        return self._evaluate(
+            Evaluator.evaluate_formula, formula, self.instance, env,
             free_variable_types={
                 n: self.variable_types[n]
                 for n in formula.free_variables()
@@ -988,8 +972,8 @@ class _RangeComputer:
 
     def _evaluate_fixpoint_term(self, term: FixpointTerm, env: dict):
         try:
-            rows = self._evaluator().evaluate_fixpoint(term.fixpoint,
-                                                       self.instance, env)
+            rows = self._evaluate(Evaluator.evaluate_fixpoint,
+                                  term.fixpoint, self.instance, env)
         except (EvalError, DomainTooLarge, FixpointError):
             return None  # this binding's value is undefined: left out
         if term.fixpoint.arity == 1:
@@ -1056,6 +1040,23 @@ def compute_ranges(
     Raises :class:`RangeComputationError` if the analysis of
     Definition 5.2/5.3 rejects the query.
     """
+    return derive_ranges(query, instance, schema, exempt_types,
+                         max_exempt_domain)[0]
+
+
+def derive_ranges(
+    query: Query,
+    instance: Instance,
+    schema: DatabaseSchema | None = None,
+    exempt_types: frozenset[Type] | set[Type] = frozenset(),
+    max_exempt_domain: int = 1_000_000,
+) -> tuple[dict[str, list[Value]], int]:
+    """:func:`compute_ranges`'s ranges, and the fixpoint stages the
+    derivation ran.  Rules 9 and 9' evaluate a formula or a fixpoint
+    term per parameter binding; a binding whose fixpoint term raises is
+    left out of the range, but the stages it ran still count, as a
+    tracer's ``ifp.stages``/``pfp.stages`` count them.
+    """
     from .typecheck import check_query
 
     schema = schema or instance.schema
@@ -1089,4 +1090,4 @@ def compute_ranges(
     # disagree) get empty ranges, which is sound for RR formulas.
     for name in report.variable_types:
         ranges.setdefault(name, [])
-    return ranges
+    return ranges, computer.stages

@@ -7,7 +7,7 @@ CALC / CALC+IFP / CALC+PFP respectively, by constructing the range
 functions from the range-restriction derivation.
 
 :func:`evaluate_range_restricted` is that construction end-to-end: it
-derives the ranges (:func:`repro.core.range_restriction.compute_ranges`)
+derives the ranges (:func:`repro.core.range_restriction.derive_ranges`)
 and evaluates the query under the restricted-domain semantics, which for
 RR queries equals the active-domain answer — in time polynomial in the
 instance rather than in the (hyperexponential) domains.
@@ -28,7 +28,7 @@ from ..objects.instance import Instance
 from ..objects.schema import DatabaseSchema
 from ..objects.values import CTuple, Value
 from .evaluation import Evaluator
-from .range_restriction import analyze_query, compute_ranges
+from .range_restriction import analyze_query, derive_ranges
 from .syntax import Query
 
 __all__ = [
@@ -46,12 +46,16 @@ class SafeEvaluationReport:
         answer: the query answer (set of head tuples).
         ranges: the derived range per variable (the range function's value
             on this instance), in canonical order.
+        stages: the fixpoint stages the evaluation ran, range
+            derivation's included: what a tracer counts as
+            ``ifp.stages`` plus ``pfp.stages``, known without one.
         range_sizes: per-variable range cardinalities (a PTIME witness:
             each is polynomial in the instance).
     """
 
     answer: frozenset[CTuple]
     ranges: dict[str, list[Value]]
+    stages: int
 
     @property
     def range_sizes(self) -> dict[str, int]:
@@ -82,8 +86,8 @@ def evaluate_range_restricted(
     schema = schema or inst.schema
     tracer = get_tracer()
     with tracer.span("range_restricted") as span:
-        ranges = compute_ranges(query, inst, schema,
-                                exempt_types=exempt_types)
+        ranges, stages = derive_ranges(query, inst, schema,
+                                       exempt_types=exempt_types)
         if tracer.enabled:
             for name in sorted(ranges):
                 size = len(ranges[name])
@@ -97,8 +101,10 @@ def evaluate_range_restricted(
         evaluator = Evaluator(schema, variable_ranges=ranges,
                               **evaluator_options)
         answer = evaluator.evaluate(query, inst)
+        assert evaluator.last_stats is not None
+        stages += evaluator.last_stats["fixpoint_stages"]
         span.set(rows=len(answer))
-    return SafeEvaluationReport(answer=answer, ranges=ranges)
+    return SafeEvaluationReport(answer=answer, ranges=ranges, stages=stages)
 
 
 def verify_safety(

@@ -15,6 +15,7 @@ from .engine import (
     STRATEGIES,
     evaluate_inflationary,
     evaluate_partial,
+    inflationary_answer,
     inflationary_stages,
 )
 from .parser import DatalogParseError, parse_program
@@ -24,6 +25,7 @@ __all__ = [
     "BuiltinLiteral", "DatalogError", "DatalogParseError", "DConst",
     "DepEdge", "DTerm", "DVar", "Literal",
     "Program", "Rule", "STRATEGIES",
-    "evaluate_inflationary", "evaluate_partial", "inflationary_stages",
+    "evaluate_inflationary", "evaluate_partial", "inflationary_answer",
+    "inflationary_stages",
     "parse_program", "program_to_query",
 ]

@@ -81,7 +81,10 @@ depend on join order, so ``datalog.rows_derived``,
 ``datalog.delta_rows`` and ``datalog.dedup_hits`` are those of the
 delta rewriting whatever order a plan takes; only the index counters
 (``eval.index_probes``/``eval.index_builds``) are the plan's own.
-Results are uninterned at the API boundary.
+Results are uninterned at the API boundary: every IDB predicate by
+:func:`evaluate_inflationary`, only the asked one by
+:func:`inflationary_answer`.  Both lanes count their own stages, so a
+caller learns the stage count without installing a tracer.
 
 Partial (PFP) semantics replaces the IDB wholesale each stage, so no
 derivation can be carried over: both strategies fire every rule each
@@ -90,7 +93,7 @@ stage, the semi-naive one through join plans over interned ids.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..core.fixpoint import (
     STRATEGIES,
@@ -120,11 +123,15 @@ __all__ = [
     "STRATEGIES",
     "evaluate_inflationary",
     "evaluate_partial",
+    "inflationary_answer",
     "inflationary_stages",
 ]
 
 Row = tuple
 Env = dict[str, Value]
+
+#: The entry points' default guard against a runaway fixpoint.
+_MAX_STAGES = 100_000
 
 
 class _Database:
@@ -469,14 +476,6 @@ class _InternedEngine:
                                _unpack(packed, self.program),
                                IndexPool(self.tracer)))
 
-    def unintern_result(
-        self, result: Mapping[str, set[Row] | frozenset[Row]]
-    ) -> dict[str, frozenset[Row]]:
-        return {
-            name: frozenset(self.edb.unintern_row(row) for row in rows)
-            for name, rows in result.items()
-        }
-
 
 # ---------------------------------------------------------------------------
 # Entry points
@@ -510,25 +509,70 @@ def _prepare(program: Program, inst: Instance, strategy: str,
     return _InternedEngine(program, inst, tracer)
 
 
-def _publish(result: Mapping[str, set[Row] | frozenset[Row]],
-             engine: _InternedEngine | None, tracer, span
-             ) -> dict[str, frozenset[Row]]:
-    """Decode the final IDB and report its sizes."""
-    span.set(rows=sum(len(rows) for rows in result.values()))
-    if engine is not None:
-        result = engine.unintern_result(result)
-        if tracer.enabled:
+def _publish(idb: Mapping[str, set[Row] | frozenset[Row]],
+             engine: _InternedEngine | None, tracer, span) -> None:
+    """Report the final IDB's sizes (its id rows number as many as
+    their decoding)."""
+    span.set(rows=sum(len(rows) for rows in idb.values()))
+    if tracer.enabled:
+        if engine is not None:
             tracer.gauge("space.interned_values",
                          engine.edb.interned_values())
-    if tracer.enabled:
-        for name in sorted(result):
-            tracer.gauge(f"space.idb[{name}]", len(result[name]))
-    return dict(result)
+        for name in sorted(idb):
+            tracer.gauge(f"space.idb[{name}]", len(idb[name]))
+
+
+def _decode(idb: Mapping[str, set[Row] | frozenset[Row]],
+            engine: _InternedEngine | None,
+            names: Iterable[str]) -> dict[str, frozenset[Row]]:
+    """The rows of the IDB predicates ``names`` as value tuples: the
+    naive oracle's already are, the semi-naive engine's id rows are
+    uninterned straight into one frozenset each."""
+    if engine is None:
+        return {name: frozenset(idb[name]) for name in names}
+    unintern = engine.edb.unintern_row
+    return {name: frozenset(map(unintern, idb[name])) for name in names}
+
+
+def _inflationary(program: Program, inst: Instance,
+                  max_stages: int | None, strategy: str,
+                  decoded: Iterable[str]
+                  ) -> tuple[dict[str, frozenset[Row]], int]:
+    """Run the inflationary fixpoint on either lane, within its span,
+    and publish the final IDB's sizes: the rows of the ``decoded``
+    predicates, and the number of stages (those a tracer counts as
+    ``ifp.stages``).  Only the decoding differs between
+    :func:`evaluate_inflationary` and :func:`inflationary_answer`."""
+    tracer = get_tracer()
+    with tracer.span("datalog.inflationary",
+                     idb=sorted(program.idb_types),
+                     strategy=strategy) as span:
+        engine = _prepare(program, inst, strategy, tracer)
+        idb: Mapping[str, set[Row] | frozenset[Row]]
+        if engine is None:
+            stage, stages = _naive_stage(program, inst), 0
+
+            def counted(packed: frozenset) -> frozenset:
+                nonlocal stages
+                rows = stage(packed)
+                stages += 1
+                return rows
+
+            idb = _unpack(iterate_ifp(counted, max_stages, tracer), program)
+        else:
+            grown: dict[str, set[Row]] = {name: set()
+                                          for name in program.idb_types}
+            # The stage that adds no rows ends the run without yielding.
+            stages = 1 + sum(1 for _ in engine.inflationary(grown,
+                                                            max_stages))
+            idb = grown
+        _publish(idb, engine, tracer, span)
+        return _decode(idb, engine, decoded), stages
 
 
 def evaluate_inflationary(
     program: Program, inst: Instance,
-    max_stages: int | None = 100_000,
+    max_stages: int | None = _MAX_STAGES,
     strategy: str = "seminaive",
 ) -> dict[str, frozenset[Row]]:
     """Inflationary semantics: ``J_i = T(J_{i-1}) ∪ J_{i-1}``.
@@ -537,26 +581,33 @@ def evaluate_inflationary(
     through per-stage join plans over interned ids after the first
     stage; ``strategy="naive"`` re-fires every rule against the full
     IDB each stage, over nested values.  Both produce identical results
-    and stage sequences (see the module docstring).
+    and stage sequences (see the module docstring).  Returns every IDB
+    predicate's rows.
     """
-    tracer = get_tracer()
-    with tracer.span("datalog.inflationary",
-                     idb=sorted(program.idb_types),
-                     strategy=strategy) as span:
-        engine = _prepare(program, inst, strategy, tracer)
-        if engine is None:
-            final = iterate_ifp(_naive_stage(program, inst), max_stages,
-                                tracer)
-            return _publish(_unpack(final, program), None, tracer, span)
-        idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
-        for _ in engine.inflationary(idb, max_stages):
-            pass
-        return _publish(idb, engine, tracer, span)
+    return _inflationary(program, inst, max_stages, strategy,
+                         program.idb_types)[0]
+
+
+def inflationary_answer(
+    program: Program, predicate: str, inst: Instance,
+    strategy: str = "seminaive",
+) -> tuple[frozenset[Row], int]:
+    """The rows of one IDB predicate under inflationary semantics (the
+    answer to a ``?-`` literal on it), and the number of stages.
+
+    The same run as :func:`evaluate_inflationary`, with the same spans,
+    counters and gauges under a tracer, but only ``predicate``'s rows
+    are decoded.  The stage count is the engine's own, so an untraced
+    caller gets it too.
+    """
+    rows, stages = _inflationary(program, inst, _MAX_STAGES, strategy,
+                                 (predicate,))
+    return rows[predicate], stages
 
 
 def evaluate_partial(
     program: Program, inst: Instance,
-    max_stages: int | None = 100_000,
+    max_stages: int | None = _MAX_STAGES,
     strategy: str = "seminaive",
 ) -> dict[str, frozenset[Row]]:
     """Partial (non-inflationary) semantics: ``J_i = T(J_{i-1})``.
@@ -576,8 +627,9 @@ def evaluate_partial(
         engine = _prepare(program, inst, strategy, tracer)
         stage = (_naive_stage(program, inst)
                  if engine is None else engine.partial_stage)
-        final = iterate_pfp(stage, max_stages, tracer)
-        return _publish(_unpack(final, program), engine, tracer, span)
+        idb = _unpack(iterate_pfp(stage, max_stages, tracer), program)
+        _publish(idb, engine, tracer, span)
+        return _decode(idb, engine, program.idb_types)
 
 
 def inflationary_stages(
@@ -595,6 +647,6 @@ def inflationary_stages(
             yield _unpack(packed, program)
         return
     idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
-    yield engine.unintern_result(idb)
+    yield _decode(idb, engine, program.idb_types)
     for _ in engine.inflationary(idb):
-        yield engine.unintern_result(idb)
+        yield _decode(idb, engine, program.idb_types)

@@ -36,32 +36,6 @@ from .syntax import BuiltinLiteral, DatalogError, DConst, DVar, Literal, Program
 __all__ = ["program_to_query"]
 
 
-def _term_to_calc(term, types: dict[str, Type]):
-    if isinstance(term, DConst):
-        return Const(term.value)
-    assert isinstance(term, DVar)
-    return Var(term.name, types.get(term.name))
-
-
-def _literal_to_calc(literal, types: dict[str, Type]) -> Formula:
-    if isinstance(literal, Literal):
-        atom = RelAtom(
-            literal.predicate,
-            [_term_to_calc(t, types) for t in literal.terms],
-        )
-        return atom if literal.positive else Not(atom)
-    assert isinstance(literal, BuiltinLiteral)
-    left = _term_to_calc(literal.left, types)
-    right = _term_to_calc(literal.right, types)
-    if literal.op == "=":
-        formula: Formula = Equals(left, right)
-    elif literal.op == "in":
-        formula = In(left, right)
-    else:
-        formula = Subset(left, right)
-    return formula if literal.positive else Not(formula)
-
-
 def _infer_variable_types(program: Program, schema: DatabaseSchema,
                           rule) -> dict[str, Type]:
     """Assign types to a rule's variables from predicate signatures."""

@@ -226,10 +226,3 @@ def dom_ik_cardinality(i: int, k: int, n: int, max_bits: int = DEFAULT_MAX_BITS)
     for typ in all_ik_types(i, k):
         total += domain_cardinality(typ, n, max_bits)
     return total
-
-
-def subset_count_at_least(universe: int, threshold: int) -> bool:
-    """Return True iff ``2**universe >= threshold`` without overflow risk."""
-    if threshold <= 1:
-        return True
-    return universe >= (threshold - 1).bit_length()

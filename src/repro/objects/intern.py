@@ -211,7 +211,7 @@ class ValueStore:
         return rebuilt
 
     def unintern_row(self, ids: Iterable[int]) -> tuple[Value, ...]:
-        return tuple(self.value(vid) for vid in ids)
+        return tuple(map(self.value, ids))
 
     # -- id-level structure (what the interned engines operate on) --------
 
@@ -347,8 +347,8 @@ class InstanceEncoding:
     def closure(self, name: str) -> frozenset[int]:
         """The ids relation ``name``'s rows name, with their subvalues'
         (``name`` read already).  Computed on first demand and kept:
-        every traced evaluation counts it, and ``answer_question``
-        always traces."""
+        every traced evaluation that reads ``name`` counts it, and an
+        untraced one never asks."""
         closure = self._closures.get(name)
         if closure is None:
             closure = frozenset(self.store.closure(

@@ -88,7 +88,7 @@ def rows_checksum(rows: Iterable[Any]) -> int:
     (``hash`` is salted per process, so shards and ledgers cannot use
     it).  Shared with the bench registry's cross-strategy agreement
     checks — the same quantity a result cache would key on."""
-    canonical = "\n".join(sorted(repr(row) for row in rows))
+    canonical = "\n".join(sorted(map(repr, rows)))
     return zlib.crc32(canonical.encode("utf-8"))
 
 

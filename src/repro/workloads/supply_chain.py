@@ -53,6 +53,15 @@ PFP/PSPACE).  :func:`answer_question` evaluates one question under
 either engine lane (naive / seminaive); committed expected answers
 at pinned ``(seed, scale)`` points live next to this module in
 ``supply_chain_golden.json`` (:func:`load_golden`/:func:`write_golden`).
+
+**What an answer pays for.**  The query is fixed and the instance
+varies (the data complexity of Theorems 4.1 and 5.1), so a question is
+compiled once: :attr:`Question.compiled` parses a ``.dl`` program or
+builds a CALC query on first use and keeps it, and nothing it keeps
+depends on an instance.  Each answer then evaluates afresh.  It is
+traced only when the caller installs a tracer
+(:func:`repro.obs.use_tracer`); the stage count comes from the engines
+themselves, and a ``.dl`` answer decodes only its ``?-`` predicate.
 """
 
 from __future__ import annotations
@@ -60,13 +69,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
+from ..core.safety import evaluate_range_restricted
 from ..core.syntax import Query
+from ..datalog import Literal, Program, inflationary_answer, parse_program
 from ..objects.instance import Instance
 from ..objects.schema import DatabaseSchema, database_schema
 from ..objects.values import Atom, CSet
+from ..obs import rows_checksum
 
 __all__ = [
     "BANDS",
@@ -278,6 +291,24 @@ class Question:
     @property
     def recursive(self) -> bool:
         return self.verdict in ("YELLOW", "RED")
+
+    @cached_property
+    def compiled(self) -> tuple[Program, Literal] | Query:
+        """The question compiled, once per question object, on first
+        use: the parsed ``(program, ?- literal)`` of a ``"datalog"``
+        question, the built :class:`~repro.core.syntax.Query` of a
+        ``"calc"`` one.  It holds nothing that depends on an instance
+        (no plans, interned ids, ranges or answers)."""
+        if self.kind == "datalog":
+            program, query = parse_program(self.source)
+            if query is None:  # pragma: no cover - inventory invariant
+                raise ValueError(f"question {self.name} has no ?- literal")
+            return program, query
+        if self.kind == "calc":
+            assert self.build is not None
+            return self.build()
+        raise ValueError(  # pragma: no cover - inventory invariant
+            f"unknown question kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -536,50 +567,30 @@ def question_by_name(name: str) -> Question:
     raise KeyError(f"unknown question {name!r}; known: {known}")
 
 
-def _parse_datalog(question: Question):
-    from ..datalog import parse_program
-
-    program, query = parse_program(question.source)
-    if query is None:  # pragma: no cover - inventory invariant
-        raise ValueError(f"question {question.name} has no ?- literal")
-    return program, query
-
-
 def answer_question(question: Question, inst: Instance,
                     strategy: str = "seminaive") -> QuestionAnswer:
     """Evaluate one inventory question under one engine lane.
 
-    Datalog questions run through :func:`evaluate_inflationary`; CALC
-    questions run range-restricted (Theorem 5.1) so every lane is
-    data-bounded.  The checksum is the shared ledger/bench quantity
-    (:func:`repro.obs.ledger.rows_checksum`), so goldens, bench
-    agreement checks and the result cache all key on the same number.
+    The question is compiled once (:attr:`Question.compiled`) and
+    evaluated on ``inst`` afresh at every call.  Datalog questions run
+    through :func:`~repro.datalog.inflationary_answer`, which decodes
+    only the ``?-`` predicate; CALC questions run range-restricted
+    (Theorem 5.1) so every lane is data-bounded.  The answer is traced
+    only when the caller has installed a tracer; the stage count comes
+    from the engines either way.  The checksum is the shared
+    ledger/bench quantity (:func:`repro.obs.ledger.rows_checksum`), so
+    goldens, bench agreement checks and the result cache all key on the
+    same number.
     """
-    from ..obs import Tracer, get_tracer, rows_checksum, use_tracer
-
-    outer = get_tracer()
-    tracer = outer if outer.enabled else Tracer()
-    with use_tracer(tracer):
-        before = (tracer.counters.get("ifp.stages", 0),
-                  tracer.counters.get("pfp.stages", 0))
-        if question.kind == "datalog":
-            from ..datalog import evaluate_inflationary
-
-            program, query = _parse_datalog(question)
-            result = evaluate_inflationary(program, inst, strategy=strategy)
-            rows = frozenset(tuple(row) for row in result[query.predicate])
-        elif question.kind == "calc":
-            from ..core.safety import evaluate_range_restricted
-
-            assert question.build is not None
-            report = evaluate_range_restricted(
-                question.build(), inst, strategy=strategy)
-            rows = frozenset(tuple(row.items) for row in report.answer)
-        else:  # pragma: no cover - inventory invariant
-            raise ValueError(f"unknown question kind {question.kind!r}")
-        after = (tracer.counters.get("ifp.stages", 0),
-                 tracer.counters.get("pfp.stages", 0))
-    stages = (after[0] - before[0]) + (after[1] - before[1])
+    compiled = question.compiled
+    if isinstance(compiled, Query):
+        report = evaluate_range_restricted(compiled, inst, strategy=strategy)
+        rows = frozenset(row.items for row in report.answer)
+        stages = report.stages
+    else:
+        program, query = compiled
+        rows, stages = inflationary_answer(program, query.predicate, inst,
+                                           strategy=strategy)
     return QuestionAnswer(rows=rows, checksum=rows_checksum(rows),
                           stages=stages)
 
@@ -601,10 +612,11 @@ def question_verdict(question: Question,
     lands on the matching tier.  The tests assert this equals the
     declared :attr:`Question.verdict` for every inventory entry."""
     schema = schema or supply_chain_schema()
-    if question.kind == "datalog":
+    compiled = question.compiled
+    if not isinstance(compiled, Query):
         from ..lint import analyze_program
 
-        program, query = _parse_datalog(question)
+        program, query = compiled
         analysis = analyze_program(program, schema, query=query)
         routes = [v.route for v in analysis.routing
                   if set(v.scc) & analysis.reachable]
@@ -616,8 +628,7 @@ def question_verdict(question: Question,
         return "RED"
     from ..lint import lint_query
 
-    assert question.build is not None
-    report = lint_query(question.build(), schema)
+    report = lint_query(compiled, schema)
     verdicts = [d for d in report.diagnostics if d.code == "CPX001"]
     if not verdicts:
         return "RED"  # not range-restricted: no tractability guarantee
@@ -695,12 +706,3 @@ def load_golden(path: str = GOLDEN_PATH) -> dict:
         raise ValueError(
             f"golden schema {document.get('schema')!r} != {GOLDEN_SCHEMA}")
     return document
-
-
-def iter_golden_questions(
-        document: Mapping) -> Iterator[tuple[int, Question, dict]]:
-    """Yield ``(scale, question, expected)`` triples from a golden doc."""
-    for scale_text, payload in sorted(document["scales"].items(),
-                                      key=lambda kv: int(kv[0])):
-        for name, expected in sorted(payload["questions"].items()):
-            yield int(scale_text), question_by_name(name), expected
