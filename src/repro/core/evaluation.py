@@ -103,6 +103,23 @@ disjunct in full at every stage.  The head (or column) product is
 checked against ``max_product`` before any join, as the oracle checks
 it before its walk.
 
+**Lifted fixpoints.**  The proof of Theorem 5.1 gives a parameterised
+fixpoint one value per parameter binding; Example 5.3 gets the same
+values set at a time, as one fixpoint with the parameters as columns,
+then nested.  The seminaive engine takes that route for an IFP whose
+parameters all have ranges: on the first binding the evaluation
+reaches, the fixpoint runs once with each atom ``S(x̄)`` of its body
+read as ``S(p̄, x̄)``, and its rows, nested by ``p̄``, serve every
+later binding (one that derives no rows has the empty relation).  A
+binding's rows at each stage are the ones its own run would have, so
+a binding counts its own run's stages (the last stage at which its
+rows grew, plus one) and delta rows when it is first reached, and the
+lifted run counts neither.  A fixpoint stays per binding when it is a
+PFP (a binding that diverges must leave only its own value
+undefined), when its body holds a fixpoint of its own (whose columns
+may re-bind a parameter, and whose stages count per binding) or reads
+an enclosing fixpoint's relation, and when the lifted run raises.
+
 **What matches the oracle.**  Both strategies evaluate a fixpoint once
 per distinct fixpoint, parameter values and rows of the enclosing
 fixpoint relations its body references.  Interning is a bijection on
@@ -128,7 +145,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..datalog.joins import DELTA, plan
 from ..datalog.syntax import BuiltinLiteral, DConst, DVar, Literal, Rule
-from ..obs import NullTracer, Tracer, get_tracer
+from ..obs import NULL_TRACER, NullTracer, Tracer, get_tracer
 from ..obs.metrics import value_node_count
 from ..objects.domains import DomainTooLarge, domain_cardinality, materialize_domain
 from ..objects.instance import Instance
@@ -138,6 +155,7 @@ from ..objects.types import Type
 from ..objects.values import Atom, CSet, CTuple, Value
 from .fixpoint import (
     STRATEGIES,
+    FixpointError,
     IndexPool,
     PFPDivergenceError,
     check_strategy,
@@ -488,6 +506,57 @@ def _split(formula: Formula, head: tuple[Var, ...],
     return _Split(formula, disjuncts, _quantified(formula))
 
 
+def _prefixed(formula: Formula, name: str, prefix: tuple[Var, ...]) -> Formula:
+    """``formula``, which holds no fixpoint, with ``prefix`` put before
+    the arguments of every atom on relation ``name``."""
+    if isinstance(formula, RelAtom):
+        if formula.name != name:
+            return formula
+        return RelAtom(name, prefix + formula.args)
+    if isinstance(formula, (And, Or)):
+        return type(formula)(_prefixed(operand, name, prefix)
+                             for operand in formula.operands)
+    if isinstance(formula, (Exists, Forall)):
+        return type(formula)(formula.var,
+                             _prefixed(formula.body, name, prefix))
+    if isinstance(formula, (Not, Implies, Iff)):
+        return type(formula)(*(_prefixed(child, name, prefix)
+                               for child in formula.children()))
+    return formula
+
+
+def _lift(fixpoint: Fixpoint, params: tuple[str, ...]) -> Fixpoint | None:
+    """``fixpoint`` with its parameters ``params`` as leading columns, each
+    atom ``S(x̄)`` of its body becoming ``S(p̄, x̄)``: nested by ``p̄``, its
+    rows are the fixpoint's rows per parameter binding (Example 5.3).
+    ``None`` where a binding's rows or stages could not be read off it:
+    a PFP, or a body holding a fixpoint (whose columns may re-bind a
+    parameter); also when a parameter has no typed occurrence to give
+    its column a type."""
+    body = fixpoint.body
+    if fixpoint.kind != IFP or not params or _holds_fixpoint(body):
+        return None
+    types = {var.name: var.typ for node in body.walk()
+             for term in node.terms() for var in term.variables()
+             if var.typ is not None}
+    if not all(name in types for name in params):
+        return None
+    columns = tuple((name, types[name]) for name in params)
+    prefix = tuple(Var(name, typ) for name, typ in columns)
+    return Fixpoint(IFP, fixpoint.name, columns + fixpoint.columns,
+                    _prefixed(body, fixpoint.name, prefix))
+
+
+class _Lifted(NamedTuple):
+    """A parameterised IFP run once, lifted (:func:`_lift`): ``ranks``,
+    each parameter's candidates there, and ``rows``, for each binding of
+    the parameters that derived rows, its rows and the stages its own
+    run would have made."""
+
+    ranks: tuple[dict[int, int], ...]
+    rows: dict[tuple, tuple[frozenset, int]]
+
+
 class _Candidates:
     """A variable's id-encoded candidates: ``ids`` in candidate order
     and ``ranks``, each id's first position there."""
@@ -623,6 +692,9 @@ class _Context:
         #: Cache of fixpoint results keyed by (fixpoint, parameter values,
         #: rows of the enclosing relations the body references).
         self.fixpoint_cache: dict[tuple, frozenset[tuple[Value, ...]]] = {}
+        #: Per fixpoint representative (by ``id``), its lifted run, or
+        #: ``None`` when it is evaluated per binding.
+        self.lifted: dict[int, _Lifted | None] = {}
         #: Statistics (exposed for benchmarks).
         self.stats = {"atom_checks": 0, "formula_checks": 0,
                       "quantifier_iterations": 0, "fixpoint_stages": 0,
@@ -811,6 +883,13 @@ class Evaluator:
     def evaluate(self, query: Query, inst: Instance) -> frozenset[CTuple]:
         """Compute ``Q(I)``: the set of head tuples satisfying the body."""
         check_query(query, self.schema)
+        return self.evaluate_checked(query, inst)
+
+    def evaluate_checked(self, query: Query,
+                         inst: Instance) -> frozenset[CTuple]:
+        """:meth:`evaluate` for a query already type checked against this
+        schema (:func:`~repro.core.typecheck.check_query`), which is not
+        checked again."""
         ctx = self._context(query.body, inst)
         head_vars = tuple(Var(n, t) for n, t in query.head)
         with ctx.tracer.span("query",
@@ -886,6 +965,29 @@ class Evaluator:
             result = frozenset(ctx.store.unintern_row(row) for row in result)
         self._finish(ctx)
         return result
+
+    def term_values(self, term: FixpointTerm, inst: Instance) -> set[Value]:
+        """Rule 9' of Theorem 5.1's proof: the values ``term`` takes as
+        its parameters, which must all have ranges, range over them, one
+        per binding.  A binding whose evaluation raises
+        :class:`EvalError`, :class:`DomainTooLarge` or
+        :class:`~repro.core.fixpoint.FixpointError` has no value.  Every
+        binding counts its stages; a seminaive IFP term is evaluated
+        lifted on the first one (see the module docstring)."""
+        ctx = self._context(term.fixpoint.body, inst)
+        params = ctx.fixpoint(term.fixpoint)[1]
+        pools = [ctx.candidates(name, None) for name in params]
+        values = set()
+        for binding in itertools.product(*(
+                pool if ctx.store is None else pool.ids for pool in pools)):
+            try:
+                values.add(self._eval_term(term, dict(zip(params, binding)),
+                                           ctx))
+            except (EvalError, DomainTooLarge, FixpointError):
+                continue  # undefined for this binding: left out
+        self._finish(ctx)
+        return values if ctx.store is None else set(map(ctx.store.value,
+                                                        values))
 
     # -- machinery ---------------------------------------------------------
 
@@ -1129,16 +1231,75 @@ class Evaluator:
         # of its parameters and the rows of the enclosing fixpoint
         # relations its body reads.
         representative, params = ctx.fixpoint(fixpoint)
-        key = (id(representative),
-               tuple((name, env.get(name)) for name in params),
-               tuple((name, ctx.rel_env[name])
-                     for name in ctx.profile(fixpoint.body)[1]
-                     if name in ctx.rel_env))
+        binding = tuple(env.get(name) for name in params)
+        reads = tuple((name, ctx.rel_env[name])
+                      for name in ctx.profile(fixpoint.body)[1]
+                      if name in ctx.rel_env)
+        key = (id(representative), tuple(zip(params, binding)), reads)
         if key in ctx.fixpoint_cache:
             if ctx.tracer.enabled:
                 ctx.tracer.count("eval.fixpoint_cache_hits")
             return ctx.fixpoint_cache[key]
+        lifted = None if reads else self._lifted(representative, params, ctx)
+        if lifted is not None and all(
+                vid in ranks for vid, ranks in zip(binding, lifted.ranks)):
+            result, stages = lifted.rows.get(binding, (frozenset(), 1))
+            ctx.stats["fixpoint_stages"] += stages
+            ctx.stats["delta_rows"] += len(result)
+            if ctx.tracer.enabled:
+                ctx.tracer.count("ifp.stages", stages)
+        else:
+            result = self._iterate(fixpoint, env, ctx)
+        ctx.fixpoint_cache[key] = result
+        return result
 
+    def _lifted(self, fixpoint: Fixpoint, params: tuple[str, ...],
+                ctx: _Context) -> _Lifted | None:
+        """The lifted run of ``fixpoint`` (a representative) in this
+        evaluation, made on the first call; ``None`` when the fixpoint is
+        evaluated per binding: on the naive lane, when a parameter has
+        no range, when :func:`_lift` declines it, and when the lifted
+        run raises (each binding then raises where its own run does)."""
+        if id(fixpoint) in ctx.lifted:
+            return ctx.lifted[id(fixpoint)]
+        ctx.lifted[id(fixpoint)] = None
+        if ctx.store is None or not all(name in ctx.variable_ranges
+                                        for name in params):
+            return None
+        lifted = _lift(fixpoint, params)
+        if lifted is None:
+            return None
+        width = len(params)
+        grew: dict[tuple, int] = {}
+        stage = 0
+
+        def grown(delta: frozenset) -> None:
+            nonlocal stage
+            stage += 1
+            ctx.tracer.heartbeat()
+            for row in delta:
+                grew[row[:width]] = stage
+
+        try:
+            rows = self._iterate(lifted, {}, ctx, grown)
+        except (EvalError, DomainTooLarge, FixpointError):
+            return None
+        nested: dict[tuple, set[Row]] = {}
+        for row in rows:
+            nested.setdefault(row[:width], set()).add(row[width:])
+        result = ctx.lifted[id(fixpoint)] = _Lifted(
+            tuple(ctx.candidates(name, None).ranks for name in params),
+            {binding: (frozenset(found), grew[binding] + 1)
+             for binding, found in nested.items()})
+        return result
+
+    def _iterate(self, fixpoint: Fixpoint, env: dict[str, Value],
+                 ctx: _Context, grown: Callable[[frozenset], None] | None
+                 = None) -> frozenset[tuple[Value, ...]]:
+        """The fixpoint's relation under ``env``, its stages run to the
+        end.  With ``grown`` (a lifted run, see :meth:`_lifted`) an IFP
+        counts no stage and no delta row, and reports none to the
+        tracer: ``grown`` receives each stage's new rows instead."""
         column_vars = tuple(Var(n, t) for n, t in fixpoint.columns)
         name = fixpoint.name
 
@@ -1154,7 +1315,8 @@ class Evaluator:
                     del ctx.rel_env[name]
                 else:
                     ctx.rel_env[name] = previous
-            ctx.stats["fixpoint_stages"] += 1
+            if grown is None:
+                ctx.stats["fixpoint_stages"] += 1
             return rows
 
         def naive_stage(current: frozenset) -> frozenset:
@@ -1189,7 +1351,10 @@ class Evaluator:
                 """The seminaive IFP stage: phi(J) minus J."""
                 nonlocal delta
                 delta = with_relation(current, lambda: joined(current))
-                ctx.stats["delta_rows"] += len(delta)
+                if grown is None:
+                    ctx.stats["delta_rows"] += len(delta)
+                else:
+                    grown(delta)
                 return delta
 
             def pfp_stage(current: frozenset) -> frozenset:
@@ -1202,14 +1367,17 @@ class Evaluator:
                              kind=kind, strategy=ctx.strategy) as span:
             if fixpoint.kind == IFP:
                 result = iterate_ifp(ifp_stage, self.max_fixpoint_stages,
-                                     ctx.tracer)
+                                     ctx.tracer if grown is None
+                                     else NULL_TRACER)
             else:
                 result = iterate_pfp(pfp_stage, self.max_fixpoint_stages,
                                      ctx.tracer)
+            if grown is not None:  # its run reported no stage
+                span.set(lifted=True)
+                ctx.tracer.gauge_max("space.peak_fixpoint_rows", len(result))
             span.set(rows=len(result))
             if ctx.tracer.enabled:
                 ctx.tracer.observe("space.fixpoint_rows", len(result))
-        ctx.fixpoint_cache[key] = result
         return result
 
     def _disjunct_rows(self, disjunct: _Disjunct, width: int,

@@ -35,7 +35,7 @@ import re
 from typing import NamedTuple
 
 from ..objects.types import Type, parse_type
-from ..objects.values import Atom, CSet, CTuple, Value
+from ..objects.values import Atom, CSet, CTuple, Value, ValueError_
 from .syntax import (
     And,
     Const,
@@ -55,6 +55,7 @@ from .syntax import (
     Query,
     RelAtom,
     Subset,
+    SyntaxError_,
     Term,
     Var,
 )
@@ -196,6 +197,17 @@ class _Parser:
             self.source_map.record(node, start, self.last_end)
         return node
 
+    def _node(self, start: int, cls, *args):
+        """``cls(*args)``, recorded from ``start``.  An AST constructor's
+        :class:`SyntaxError_` (or a constant's ``ValueError_``) is the
+        text's fault, so it becomes a :class:`ParseError` located at
+        ``start``."""
+        try:
+            node = cls(*args)
+        except (SyntaxError_, ValueError_) as exc:
+            raise ParseError(f"{exc} at position {start}") from exc
+        return self._record(node, start)
+
     def _expect(self, text: str) -> _Token:
         token = self._next()
         if token.text != text:
@@ -281,11 +293,11 @@ class _Parser:
         start = token.pos
         if token.kind == "quoted":
             self._next()
-            return self._record(Const(Atom(token.text[1:-1])), start)
+            return self._node(start, Const, Atom(token.text[1:-1]))
         if token.text in ("{", "["):
-            return self._record(Const(self._parse_value()), start)
+            return self._node(start, Const, self._parse_value())
         if token.text in ("ifp", "pfp"):
-            return self._record(FixpointTerm(self.parse_fixpoint()), start)
+            return self._node(start, FixpointTerm, self.parse_fixpoint())
         if token.kind == "name" and token.text not in KEYWORDS:
             self._next()
             name = token.text
@@ -302,7 +314,7 @@ class _Parser:
                     raise ParseError(
                         f"expected projection index at {index_token.pos}"
                     )
-                return self._record(Proj(var, int(index_token.text)), start)
+                return self._node(start, Proj, var, int(index_token.text))
             return self._record(var, start)
         raise ParseError(f"cannot parse term at {token.pos}: {token.text!r}")
 
@@ -345,8 +357,8 @@ class _Parser:
         self._expect("(")
         body = self.parse_formula()
         self._expect(")")
-        return self._record(Fixpoint(kind, name_token.text, columns, body),
-                            start)
+        return self._node(start, Fixpoint, kind, name_token.text, columns,
+                          body)
 
     # -- formulas -----------------------------------------------------------------
 
@@ -359,7 +371,7 @@ class _Parser:
         while self._at("<->"):
             self._next()
             right = self._parse_implies()
-            left = self._record(Iff(left, right), start)
+            left = self._node(start, Iff, left, right)
         return left
 
     def _parse_implies(self) -> Formula:
@@ -367,7 +379,8 @@ class _Parser:
         left = self._parse_or()
         if self._at("->"):
             self._next()
-            return self._record(Implies(left, self._parse_implies()), start)
+            return self._node(start, Implies, left,
+                              self._parse_implies())
         return left
 
     def _parse_or(self) -> Formula:
@@ -378,7 +391,7 @@ class _Parser:
             operands.append(self._parse_and())
         if len(operands) == 1:
             return operands[0]
-        return self._record(Or(operands), start)
+        return self._node(start, Or, operands)
 
     def _parse_and(self) -> Formula:
         start = self._start()
@@ -388,7 +401,7 @@ class _Parser:
             operands.append(self._parse_unary())
         if len(operands) == 1:
             return operands[0]
-        return self._record(And(operands), start)
+        return self._node(start, And, operands)
 
     def _parse_unary(self) -> Formula:
         token = self._peek()
@@ -397,7 +410,7 @@ class _Parser:
         start = token.pos
         if token.text == "not":
             self._next()
-            return self._record(Not(self._parse_unary()), start)
+            return self._node(start, Not, self._parse_unary())
         if token.text in ("exists", "forall"):
             self._next()
             bindings = self.parse_bindings()
@@ -406,7 +419,7 @@ class _Parser:
             self._expect(")")
             for name, typ in reversed(bindings):
                 cls = Exists if token.text == "exists" else Forall
-                body = self._record(cls(Var(name, typ), body), start)
+                body = self._node(start, cls, Var(name, typ), body)
             return body
         if token.text == "(":
             # Could be a parenthesised formula; try it, fall back to atom.
@@ -434,9 +447,9 @@ class _Parser:
                     self._next()
                     args.append(self.parse_term())
                 self._expect(")")
-                return self._record(FixpointPred(fixpoint, args), start)
+                return self._node(start, FixpointPred, fixpoint, args)
             # A bare fixpoint must be part of a comparison, e.g. s = ifp[...]
-            left: Term = self._record(FixpointTerm(fixpoint), start)
+            left: Term = self._node(start, FixpointTerm, fixpoint)
             return self._parse_comparison(left, start)
         # Relation atom: NAME '(' ... ')' where NAME is not a declared var.
         if (token.kind == "name" and token.text not in KEYWORDS
@@ -448,18 +461,18 @@ class _Parser:
                 self._next()
                 args.append(self.parse_term())
             self._expect(")")
-            return self._record(RelAtom(token.text, args), start)
+            return self._node(start, RelAtom, token.text, args)
         left = self.parse_term()
         return self._parse_comparison(left, start)
 
     def _parse_comparison(self, left: Term, start: int) -> Formula:
         op = self._next()
         if op.text == "=":
-            return self._record(Equals(left, self.parse_term()), start)
+            return self._node(start, Equals, left, self.parse_term())
         if op.text == "in":
-            return self._record(In(left, self.parse_term()), start)
+            return self._node(start, In, left, self.parse_term())
         if op.text == "sub":
-            return self._record(Subset(left, self.parse_term()), start)
+            return self._node(start, Subset, left, self.parse_term())
         raise ParseError(
             f"expected '=', 'in' or 'sub' at {op.pos}, got {op.text!r}"
         )
@@ -475,7 +488,7 @@ class _Parser:
         self._expect("|")
         body = self.parse_formula()
         self._expect("}")
-        return self._record(Query(head, body), start)
+        return self._node(start, Query, head, body)
 
     def finish(self) -> None:
         if self.pos != len(self.tokens):

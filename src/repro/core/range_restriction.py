@@ -43,16 +43,15 @@ polynomial, so the complexity claims are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
-from ..objects.domains import DomainTooLarge
 from ..objects.instance import Instance
 from ..objects.schema import DatabaseSchema
 from ..objects.types import TupleType, Type
 from ..objects.values import CSet, CTuple, Value, value_sort_key
-from .evaluation import EvalError, Evaluator, SharedState
-from .fixpoint import FixpointError
+from .evaluation import Evaluator, SharedState
 from .syntax import (
     And,
     Const,
@@ -75,6 +74,7 @@ from .syntax import (
     Term,
     Var,
 )
+from .typecheck import TypeReport, check_query
 
 __all__ = [
     "Path",
@@ -686,13 +686,13 @@ def analyze(
 
 
 def analyze_query(query: Query, schema,
-                  exempt_types: frozenset[Type] | set[Type] = frozenset()
-                  ) -> RRResult:
+                  exempt_types: frozenset[Type] | set[Type] = frozenset(),
+                  report: TypeReport | None = None) -> RRResult:
     """Analyse a query: head variables must be range restricted
-    (except those of an exempt type, per Theorem 5.3)."""
-    from .typecheck import check_query
-
-    report = check_query(query, schema)
+    (except those of an exempt type, per Theorem 5.3).  ``report`` is
+    the query's type report when the caller has checked it already."""
+    if report is None:
+        report = check_query(query, schema)
     return analyze(
         query.body,
         report.variable_types,
@@ -893,55 +893,48 @@ class _RangeComputer:
                     self.add(path, self.ranges.get((column,), ()))
 
     def _flow_fixpoint_term(self, path: Path, term: FixpointTerm) -> None:
-        """Rule 9' range: evaluate the fixpoint per parameter binding."""
-        fixpoint = term.fixpoint
-        for env in self._parameter_bindings(fixpoint):
-            value = self._evaluate_fixpoint_term(term, env)
-            if value is not None:
-                self.add(path, (value,))
+        """Rule 9' range: the term's value per binding of its parameters,
+        from one evaluation (:meth:`Evaluator.term_values`: an IFP term
+        runs once, lifted, a PFP term per binding)."""
+        ranges = self.variable_ranges()
+        if all(var.name in ranges for var in term.fixpoint.parameters()):
+            self.add(path, self._evaluate(Evaluator.term_values, term,
+                                          self.instance))
+        # else: parameters not yet ranged; a later round retries
 
     def _collect_rule9(self, formula: Forall) -> None:
-        """Rule 9 range: the set {y | phi'(y)} per parameter binding."""
+        """Rule 9 range: the set {y | phi'(y)} per binding of phi''s other
+        free variables p, from one evaluation of the query
+        {[p, y] | phi'} nested by p (Example 5.3's nest idiom)."""
         pattern = _Analyzer._match_rule9(formula.body, formula.var.name)
         if pattern is None:
             return
         container_path, phi = pattern
         y_name = formula.var.name
+        y_type = self.variable_types.get(y_name)
         params = sorted(
             name for name in phi.free_variables() if name != y_name
         )
-        y_type = self.variable_types.get(y_name)
-        if y_type is None:
-            return
-        y_range = self.ranges.get((y_name,))
-        if y_range is None:
-            return
-        for env in self._env_product(params):
-            members = []
-            for candidate in y_range:
-                inner_env = dict(env)
-                inner_env[y_name] = candidate
-                if self._holds(phi, inner_env):
-                    members.append(candidate)
-            self.add(container_path, (CSet(members),))
+        ranges = self.variable_ranges()
+        if y_type is None or not all(name in ranges
+                                     for name in params + [y_name]):
+            return  # not yet ranged; a later round retries
+        if y_name not in phi.free_variables():
+            y = Var(y_name, y_type)  # the head needs y free in the body
+            phi = And((phi, Equals(y, y)))
+        head = [(name, self.variable_types[name]) for name in params]
+        rows = self._evaluate(Evaluator.evaluate_checked,
+                              Query(head + [(y_name, y_type)], phi),
+                              self.instance)
+        nested: dict[tuple, list[Value]] = {}
+        for row in rows:
+            nested.setdefault(row.items[:-1], []).append(row.items[-1])
+        sets = {CSet(members) for members in nested.values()}
+        if len(nested) < math.prod(len(ranges[name]) for name in params):
+            sets.add(CSet())  # some binding has no member
+        self.add(container_path, sets)
 
     # -- helpers needing evaluation -----------------------------------------
-
-    def _parameter_bindings(self, fixpoint: Fixpoint) -> Iterator[dict]:
-        params = sorted(v.name for v in fixpoint.parameters())
-        yield from self._env_product(params)
-
-    def _env_product(self, names: list[str]) -> Iterator[dict]:
-        import itertools as _it
-
-        pools = []
-        for name in names:
-            pool = self.ranges.get((name,))
-            if pool is None:
-                return  # parameters not yet ranged; later round will retry
-            pools.append(sorted(pool, key=repr))
-        for combo in _it.product(*pools):
-            yield dict(zip(names, combo))
 
     def _evaluate(self, method: Callable[..., _T], *args: Any,
                   **kwargs: Any) -> _T:
@@ -959,26 +952,6 @@ class _RangeComputer:
         finally:
             if evaluator.last_stats is not None:
                 self.stages += evaluator.last_stats["fixpoint_stages"]
-
-    def _holds(self, formula: Formula, env: dict) -> bool:
-        return self._evaluate(
-            Evaluator.evaluate_formula, formula, self.instance, env,
-            free_variable_types={
-                n: self.variable_types[n]
-                for n in formula.free_variables()
-                if n in self.variable_types
-            },
-        )
-
-    def _evaluate_fixpoint_term(self, term: FixpointTerm, env: dict):
-        try:
-            rows = self._evaluate(Evaluator.evaluate_fixpoint,
-                                  term.fixpoint, self.instance, env)
-        except (EvalError, DomainTooLarge, FixpointError):
-            return None  # this binding's value is undefined: left out
-        if term.fixpoint.arity == 1:
-            return CSet(row[0] for row in rows)
-        return CSet(CTuple(row) for row in rows)
 
     # -- rules 2/3 on ranges --------------------------------------------------
 
@@ -1052,20 +1025,22 @@ def derive_ranges(
     max_exempt_domain: int = 1_000_000,
 ) -> tuple[dict[str, list[Value]], int]:
     """:func:`compute_ranges`'s ranges, and the fixpoint stages the
-    derivation ran.  Rules 9 and 9' evaluate a formula or a fixpoint
-    term per parameter binding; a binding whose fixpoint term raises is
-    left out of the range, but the stages it ran still count, as a
-    tracer's ``ifp.stages``/``pfp.stages`` count them.
+    derivation ran.  Rules 9 and 9' take one value per parameter binding
+    per round, from one evaluation each: a fixpoint term's value is its
+    relation for the binding (a binding whose evaluation raises is left
+    out), a nest pattern's the set of its members for the binding.
+    Every binding counts the stages its own run would have made, a
+    raising one included, as a tracer's ``ifp.stages``/``pfp.stages``
+    count them.  The query is type checked once.
     """
-    from .typecheck import check_query
-
     schema = schema or instance.schema
-    result = analyze_query(query, schema, exempt_types=frozenset(exempt_types))
+    report = check_query(query, schema)
+    result = analyze_query(query, schema, exempt_types=frozenset(exempt_types),
+                           report=report)
     if not result.is_range_restricted:
         raise RangeComputationError(
             "query is not range restricted: " + "; ".join(result.violations)
         )
-    report = check_query(query, schema)
     computer = _RangeComputer(
         instance, report.variable_types, frozenset(schema.relation_names)
     )

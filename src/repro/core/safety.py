@@ -80,8 +80,9 @@ def evaluate_range_restricted(
     internally, so the report's ``ranges`` keep their object form while
     the hot evaluation compares dense ids.
 
-    Raises :class:`RangeComputationError` if the query fails the
-    Definition 5.2/5.3 analysis.
+    The query is type checked once, by the derivation, for the
+    derivation and the evaluation both.  Raises :class:`RangeComputationError` if the
+    query fails the Definition 5.2/5.3 analysis.
     """
     schema = schema or inst.schema
     tracer = get_tracer()
@@ -100,7 +101,7 @@ def evaluate_range_restricted(
             tracer.count("rr.evaluations")
         evaluator = Evaluator(schema, variable_ranges=ranges,
                               **evaluator_options)
-        answer = evaluator.evaluate(query, inst)
+        answer = evaluator.evaluate_checked(query, inst)  # derive_ranges checked it
         assert evaluator.last_stats is not None
         stages += evaluator.last_stats["fixpoint_stages"]
         span.set(rows=len(answer))

@@ -74,15 +74,17 @@ class Atom(Value):
     Atoms are identified by their label (a string or int).  Two atoms are
     equal iff their labels are equal.  Labels only serve identity; queries
     must be generic (insensitive to isomorphisms of constants), which the
-    test suite checks explicitly.
+    test suite checks explicitly.  The hash, ``hash((Atom, label))``, is
+    computed once, when the atom is made.
     """
 
-    __slots__ = ("label",)
+    __slots__ = ("label", "_hash")
 
     def __init__(self, label: AtomLabel):
         if not isinstance(label, (str, int)) or isinstance(label, bool):
             raise ValueError_(f"atom label must be str or int, got {label!r}")
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", hash((Atom, label)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Atom is immutable")
@@ -103,7 +105,7 @@ class Atom(Value):
         return isinstance(other, Atom) and self.label == other.label
 
     def __hash__(self) -> int:
-        return hash((Atom, self.label))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Atom({self.label!r})"

@@ -385,3 +385,57 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["no-such-command"])
         assert excinfo.value.code == 2
+
+
+#: Well-tokenised query text an AST constructor rejects: a head variable
+#: missing from the body, a projection past a tuple's arity.
+REJECTED_BY_THE_AST = [
+    pytest.param("{[x:{U}, y:{U}] | G(xo, y)}",
+                 "head variables ['x'] do not occur free in the body "
+                 "at position 0", id="head-not-free"),
+    pytest.param("{[x:[U,{U}]] | G(x.3, x.1)}",
+                 "projection index 3 exceeds arity 2 at position 17",
+                 id="projection-past-arity"),
+]
+
+
+class TestQueryTextRejectedByTheAst:
+    """Such text is malformed input like any other: a located message,
+    no traceback.  ``query`` and ``profile`` exit 2; ``lint`` reports it
+    as its ``PAR001`` finding (exit 1), as it does every query that does
+    not parse."""
+
+    @staticmethod
+    def _run(*args):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "repro", *args],
+                              env=env, capture_output=True, text=True)
+
+    @pytest.mark.parametrize("command", ["query", "profile"])
+    @pytest.mark.parametrize("text,message", REJECTED_BY_THE_AST)
+    def test_exits_2_with_one_error_line(self, graph_file, command, text,
+                                         message):
+        run = self._run(command, graph_file, text)
+        assert run.returncode == EXIT_ERROR
+        assert "Traceback" not in run.stderr
+        errors = [line for line in run.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {message}"]
+
+    @pytest.mark.parametrize("text,message", REJECTED_BY_THE_AST)
+    def test_lint_reports_one_parse_finding(self, graph_file, text,
+                                            message):
+        run = self._run("lint", graph_file, text)
+        assert run.returncode == EXIT_FINDINGS
+        assert "Traceback" not in run.stderr
+        errors = [line for line in run.stdout.splitlines()
+                  if line.startswith("error")]
+        assert errors == [f"error[PAR001] {message}"]

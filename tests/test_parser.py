@@ -1,6 +1,10 @@
 """Tests for the textual syntax (parser <-> builder agreement)."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import V, exists, query, rel
 from repro.core.evaluation import evaluate
@@ -159,3 +163,62 @@ class TestErrors:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_query(bad) if bad.startswith("{[") else parse_formula(bad)
+
+
+class TestErrorsTheAstFinds:
+    """Text that tokenises and parses but that an AST constructor
+    rejects is a :class:`ParseError` located at the node's start."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("{[x:{U}, y:{U}] | G(xo, y)}",
+         "head variables ['x'] do not occur free in the body at position 0"),
+        ("{[x:[U,{U}]] | G(x.3, x.1)}",
+         "projection index 3 exceeds arity 2 at position 17"),
+        ("{[x:U] | ifp[S(y:U)](P(y))(x, x)}",
+         "fixpoint 'S' has arity 1, applied to 2 arguments at position 9"),
+        ("{[x:U] | x in {'a', ['b']}}",
+         "heterogeneous set: element types ['U', '[U]'] at position 14"),
+    ])
+    def test_located_parse_error(self, text, message):
+        with pytest.raises(ParseError) as error:
+            parse_query(text)
+        assert str(error.value) == message
+
+
+#: The seeds the never-crash test mutates: the example query files and
+#: the module docstring's query and formula, with their bodies.
+_EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "queries"
+_QUERY_SEEDS = sorted(
+    line.strip() for path in _EXAMPLES.glob("*.repro")
+    for line in path.read_text().splitlines() if line.strip()) + [
+    "{[x:[U,{U}], s:{U}] | G(x.2, s) and s = ifp[Q(y:U)](P(y) or Q(y))}",
+]
+_SEEDS = _QUERY_SEEDS + [text[text.index("|") + 1:-1] for text in _QUERY_SEEDS]
+_PIECES = ["(", ")", "{", "}", "[", "]", ",", ".", ":", "=", "|", "0", "3",
+           "x", "xo", "y", "s", "U", "{U}", "[U,U]", "'a'", "and", "or",
+           "not", "in", "sub", "exists", "forall", "ifp", "pfp", "<->", "->",
+           " ", "G", "P", "S"]
+
+
+@st.composite
+def _mutated(draw):
+    """A seed with up to four pieces inserted, deleted or replaced."""
+    text = draw(st.sampled_from(_SEEDS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        piece = draw(st.sampled_from(_PIECES + [""]))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+class TestNeverCrashes:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_mutated())
+    def test_only_parse_errors(self, text):
+        for parse in (parse_query, parse_formula):
+            try:
+                parse(text)
+            except ParseError:
+                pass

@@ -325,13 +325,13 @@ class TestManyQueriesAgree:
 
 
 class TestRangeDerivationEvaluations:
-    """Rule 9/9' ranges come from evaluating subformulas once per
-    parameter binding; those evaluations share one interned instance
+    """Rule 9/9' ranges take one value per parameter binding, from one
+    evaluation per round; those evaluations share one interned instance
     and let only the evaluator's typed errors drop a value."""
 
     def test_each_relation_interned_once(self, monkeypatch):
-        """calc-order-nest evaluates its IFP term once per customer and
-        round, yet reads (and so interns) ``Order`` once."""
+        """calc-order-nest evaluates its IFP term in each of two rounds,
+        yet reads (and so interns) ``Order`` once."""
         from repro.objects.intern import InternedInstance
         from repro.workloads import (
             GOLDEN_SEED,
@@ -353,12 +353,15 @@ class TestRangeDerivationEvaluations:
         assert first_reads == ["Order"]
 
     def test_evaluator_bug_propagates(self, p_instance, monkeypatch):
-        from repro.core.evaluation import Evaluator
+        """An untyped error inside the IFP term's evaluation (its lifted
+        run, then its per-binding runs) is a bug, not an undefined
+        value: it propagates."""
+        from repro.core import evaluation
 
-        def broken(self, *args, **kwargs):
+        def broken(*args, **kwargs):
             raise RuntimeError("evaluator bug")
 
-        monkeypatch.setattr(Evaluator, "evaluate_fixpoint", broken)
+        monkeypatch.setattr(evaluation, "iterate_ifp", broken)
         with pytest.raises(RuntimeError, match="evaluator bug"):
             compute_ranges(nest_query_ifp(), p_instance)
 

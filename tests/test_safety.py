@@ -1,6 +1,7 @@
 """Tests for C-safe evaluation (Definition 5.1, Proposition 5.1,
 Theorem 5.2; E14)."""
 
+import pytest
 
 from repro.core.builder import V, eq, exists, forall, query, rel
 from repro.core.evaluation import Evaluator, evaluate
@@ -129,3 +130,44 @@ class TestRestrictedSemanticsDetails:
         answer_big = Evaluator(schema, variable_ranges=enlarged).evaluate(
             nest_query(), inst)
         assert answer_base == answer_big
+
+
+class TestTypeCheckedOnce:
+    """A range-restricted answer type checks its query once, for the
+    range derivation and the evaluation both."""
+
+    def test_one_check_per_calc_answer(self, monkeypatch):
+        import repro.core.typecheck as typecheck
+        from repro.workloads import (
+            GOLDEN_SEED,
+            QUESTIONS,
+            answer_question,
+            supply_chain_instance,
+        )
+
+        inst = supply_chain_instance(1, GOLDEN_SEED)
+        checks = []
+        check_formula = typecheck.check_formula
+
+        def counting(*args, **kwargs):
+            checks.append(args[0])
+            return check_formula(*args, **kwargs)
+
+        monkeypatch.setattr(typecheck, "check_formula", counting)
+        for question in QUESTIONS:
+            if question.kind == "calc":
+                checks.clear()
+                answer_question(question, inst)
+                assert checks == [question.compiled.body], question.name
+
+    def test_ill_typed_query_raises_the_checks_error(self):
+        from repro.core.typecheck import TypeCheckError, check_query
+
+        x, y = V("x", "U"), V("y", "U")
+        q = query([x], exists(y, rel("G")(x) & rel("G")(x, y)))
+        inst = chain_graph(3)
+        with pytest.raises(TypeCheckError) as expected:
+            check_query(q, inst.schema)
+        with pytest.raises(TypeCheckError) as raised:
+            evaluate_range_restricted(q, inst)
+        assert str(raised.value) == str(expected.value)

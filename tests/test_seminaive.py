@@ -259,13 +259,17 @@ class TestGuardedExists:
         assert (seminaive.get("eval.quantifier_iterations", 0)
                 <= naive.get("eval.quantifier_iterations", 0))
 
-    @pytest.mark.parametrize("name", ["calc-bom-tc", "calc-order-nest"])
-    def test_inventory_question_iterates_5x_less(self, name):
+    @pytest.mark.parametrize("name,probes", [("calc-bom-tc", True),
+                                             ("calc-order-nest", False)])
+    def test_inventory_question_iterates_5x_less(self, name, probes):
+        """calc-bom-tc's closure probes BOM; calc-order-nest's IFP term
+        runs lifted, scanning Order once instead of probing it per
+        customer."""
         question = question_by_name(name)
         inst = supply_chain_instance(1, GOLDEN_SEED)
         naive = _counters(
             lambda: answer_question(question, inst, strategy="naive"))
         seminaive = _counters(lambda: answer_question(question, inst))
-        assert seminaive["eval.index_probes"] > 0
+        assert (seminaive.get("eval.index_probes", 0) > 0) == probes
         assert (5 * seminaive.get("eval.quantifier_iterations", 0)
                 <= naive["eval.quantifier_iterations"])
