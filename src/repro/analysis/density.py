@@ -167,16 +167,6 @@ class DensityVerdict:
     looks_dense: bool
     looks_sparse: bool
 
-    @property
-    def dense_exponent(self) -> float | None:
-        """The last implied density degree (polynomial degree witness)."""
-        return self.dense_degrees[-1] if self.dense_degrees else None
-
-    @property
-    def sparse_exponent(self) -> float | None:
-        """The last implied sparsity degree."""
-        return self.sparse_degrees[-1] if self.sparse_degrees else None
-
 
 def classify_family(
     make_instance: Callable[[int], Instance],

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from ..obs import rows_checksum
+
 __all__ = [
     "Expectation",
     "SpeedupGate",
@@ -200,16 +202,6 @@ def _run_quantifier_tower(n: int, strategy: str) -> dict[str, Any]:
     return {"checksum": len(answer)}
 
 
-def _decoded_checksum(rows) -> int:
-    """Order- and process-independent checksum of an answer relation
-    (``hash`` is salted per process, so shards cannot use it).  The
-    logic lives in :func:`repro.obs.ledger.rows_checksum` now — the run
-    ledger keys result identity on the same quantity."""
-    from ..obs import rows_checksum
-
-    return rows_checksum(rows)
-
-
 def _run_sparse_collapse(n: int, strategy: str) -> dict[str, Any]:
     """Proposition 5.2 (ex ``bench_sparse_collapse.py``): TC over a
     sparse chain of set-typed nodes, either directly over the nested
@@ -240,7 +232,7 @@ def _run_sparse_collapse(n: int, strategy: str) -> dict[str, Any]:
     else:
         raise AssertionError(f"unknown sparse-collapse route {strategy!r}")
     get_tracer().count("collapse.domain_values", space)
-    return {"checksum": _decoded_checksum(answer)}
+    return {"checksum": rows_checksum(answer)}
 
 
 def _run_density_measures(n: int, strategy: str) -> dict[str, Any]:
@@ -378,7 +370,7 @@ def _run_tc_engines(n: int, strategy: str) -> dict[str, Any]:
         pairs = frozenset(tuple(pair) for pair in tc_via_loop(graph))
     else:
         raise AssertionError(f"unknown tc-engines route {strategy!r}")
-    return {"checksum": _decoded_checksum(pairs)}
+    return {"checksum": rows_checksum(pairs)}
 
 
 def _run_datalog_translation(n: int, strategy: str) -> dict[str, Any]:
@@ -407,7 +399,7 @@ def _run_datalog_translation(n: int, strategy: str) -> dict[str, Any]:
     else:
         raise AssertionError(
             f"unknown datalog-translation route {strategy!r}")
-    return {"checksum": _decoded_checksum(canonical)}
+    return {"checksum": rows_checksum(canonical)}
 
 
 def _run_dense_fixpoint(n: int, strategy: str) -> dict[str, Any]:
@@ -475,7 +467,7 @@ def _run_nest_routes(n: int, strategy: str) -> dict[str, Any]:
         raise AssertionError(
             f"nest over {n} keys produced {len(canonical)} rows")
     get_tracer().count("nest.answer_rows", len(canonical))
-    return {"checksum": _decoded_checksum(canonical)}
+    return {"checksum": rows_checksum(canonical)}
 
 
 def _run_algebra_fixpoint(n: int, strategy: str) -> dict[str, Any]:
@@ -516,7 +508,7 @@ def _run_algebra_fixpoint(n: int, strategy: str) -> dict[str, Any]:
     if len(pairs) != _chain_closure_rows(n):
         raise AssertionError(
             f"{strategy} TC on chain({n}) produced {len(pairs)} pairs")
-    return {"checksum": _decoded_checksum(pairs)}
+    return {"checksum": rows_checksum(pairs)}
 
 
 def _run_code_relations(n: int, strategy: str) -> dict[str, Any]:
@@ -655,7 +647,7 @@ def _run_rr_vs_active(n: int, strategy: str) -> dict[str, Any]:
     if len(answer) != n:
         raise AssertionError(
             f"nest over {n} atoms produced {len(answer)} rows")
-    return {"checksum": _decoded_checksum(answer)}
+    return {"checksum": rows_checksum(answer)}
 
 
 def _run_sorted_density(n: int, strategy: str) -> dict[str, Any]:
@@ -979,7 +971,7 @@ def _run_supply_chain_questions(n: int, strategy: str) -> dict[str, Any]:
     """The whole golden inventory (~30 GREEN/YELLOW/RED questions) under
     one lane; the checksum rolls up every per-question answer checksum,
     so the two lanes agreeing here means they agree on every answer."""
-    from ..obs import get_tracer, rows_checksum
+    from ..obs import get_tracer
     from ..workloads import QUESTIONS, answer_question, supply_chain_instance
 
     inst = supply_chain_instance(n)

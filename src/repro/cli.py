@@ -57,7 +57,6 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 import time
 from typing import Callable
@@ -623,21 +622,14 @@ _EXPLAIN_TABLES = "@tables"
 
 def _lint_verdict(reports) -> str | None:
     """The complexity verdict a lint run decided on, for the run ledger:
-    the CPX001 Theorem 5.1 bound (``LOGSPACE``/``PTIME``/``PSPACE``) or
-    the CPX003 rejection (``no-BOUND-guarantee``).  The last verdict
-    wins when several queries were linted together."""
+    the Theorem 5.1 bound (``LOGSPACE``/``PTIME``/``PSPACE``) of a
+    range-restricted query, else ``no-BOUND-guarantee``.  The last
+    verdict wins when several queries were linted together."""
     verdict = None
     for report in reports:
-        for diagnostic in report:
-            if diagnostic.code == "CPX001":
-                match = re.search(r"evaluable in (\w+)", diagnostic.message)
-                if match:
-                    verdict = match.group(1)
-            elif diagnostic.code == "CPX003":
-                match = re.search(r"no Theorem 5\.1 (\w+) guarantee",
-                                  diagnostic.message)
-                verdict = (f"no-{match.group(1)}-guarantee" if match
-                           else "not-range-restricted")
+        if report.bound is not None:
+            verdict = (report.bound if report.range_restricted
+                       else f"no-{report.bound}-guarantee")
     return verdict
 
 

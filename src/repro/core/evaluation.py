@@ -145,7 +145,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..datalog.joins import DELTA, plan
 from ..datalog.syntax import BuiltinLiteral, DConst, DVar, Literal, Rule
-from ..obs import NULL_TRACER, NullTracer, Tracer, get_tracer
+from ..obs import NullTracer, Tracer, get_tracer
 from ..obs.metrics import value_node_count
 from ..objects.domains import DomainTooLarge, domain_cardinality, materialize_domain
 from ..objects.instance import Instance
@@ -154,6 +154,7 @@ from ..objects.schema import DatabaseSchema
 from ..objects.types import Type
 from ..objects.values import Atom, CSet, CTuple, Value
 from .fixpoint import (
+    MAX_STAGES,
     STRATEGIES,
     FixpointError,
     IndexPool,
@@ -221,6 +222,17 @@ Row = tuple
 
 class EvalError(Exception):
     """Raised when evaluation cannot proceed (ill-typed input, caps...)."""
+
+
+class _Heartbeat(NullTracer):
+    """Reports nothing but ``tracer``'s heartbeat: the tracer of a
+    lifted run, whose stages are credited per binding."""
+
+    def __init__(self, tracer: Tracer | NullTracer):
+        self._tracer = tracer
+
+    def heartbeat(self) -> None:
+        self._tracer.heartbeat()
 
 
 def active_atoms(inst: Instance, query_constants: Iterable[Value] = ()) -> tuple[Atom, ...]:
@@ -676,13 +688,11 @@ class _Context:
         max_domain: int,
         max_product: int,
         variable_ranges: Mapping[str, Collection[Value]] | None,
-        tracer: Tracer | NullTracer | None = None,
-        strategy: str = "seminaive",
-        max_memo: int = DEFAULT_MAX_MEMO,
-        shared: SharedState | None = None,
+        strategy: str,
+        shared: SharedState | None,
     ):
         self.instance = instance
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer = get_tracer()
         self.domains = _DomainCache(active, max_domain, self.tracer)
         self.max_product = max_product
         self.variable_ranges = dict(variable_ranges or {})
@@ -704,9 +714,8 @@ class _Context:
         #: quantifier inside a hot loop traces once, not per outer env).
         self.traced_enumerations: set[tuple] = set()
         #: Memoized _satisfy results (seminaive strategy only), keyed by
-        #: (formula, free-variable bindings); capped by ``max_memo``.
-        self.memo_enabled = strategy == "seminaive"
-        self.max_memo = max_memo
+        #: (formula, free-variable bindings); capped by
+        #: :data:`DEFAULT_MAX_MEMO`.
         self.satisfy_memo: dict[tuple, bool] = {}
         #: Interned kernel (seminaive strategy only): ``store`` is the
         #: shared state's view of the instance's encoding.  Every env
@@ -840,12 +849,15 @@ class Evaluator:
         schema: input database schema (used for type checking).
         max_domain_size: cap on any materialised ``dom(T, D)``.
         max_product: cap on enumerated variable-product sizes.
-        max_fixpoint_stages: guard on fixpoint iteration counts.
         variable_ranges: optional restricted-domain ranges, variable name
             to a collection of candidate values (restricted semantics).
         strategy: ``"seminaive"`` (the default: joins over interned ids)
             or ``"naive"`` (the object-level reference oracle); see the
             module docstring.
+
+    An evaluation reports to the tracer active when it starts.  Its
+    fixpoints supply only their stage to the loops of
+    :mod:`repro.core.fixpoint`, under their ``MAX_STAGES`` guard.
     """
 
     #: State that seminaive evaluations of its instance share instead of
@@ -857,21 +869,15 @@ class Evaluator:
         schema: DatabaseSchema,
         max_domain_size: int = DEFAULT_MAX_DOMAIN,
         max_product: int = DEFAULT_MAX_PRODUCT,
-        max_fixpoint_stages: int | None = 100_000,
         variable_ranges: Mapping[str, Collection[Value]] | None = None,
-        tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
     ):
         check_strategy(strategy)
         self.schema = schema
         self.max_domain_size = max_domain_size
         self.max_product = max_product
-        self.max_fixpoint_stages = max_fixpoint_stages
         self.variable_ranges = variable_ranges
         self.strategy = strategy
-        #: Explicit tracer; None resolves the active one per evaluation,
-        #: so ``with use_tracer(...)`` works without rebuilding Evaluators.
-        self.tracer = tracer
         #: The latest evaluation's stats, filled as it runs, so one cut
         #: short by an exception keeps what it counted.  Its
         #: ``fixpoint_stages`` is what a tracer counts as ``ifp.stages``
@@ -992,14 +998,14 @@ class Evaluator:
     # -- machinery ---------------------------------------------------------
 
     def _context(self, formula: Formula, inst: Instance) -> _Context:
-        tracer = self.tracer if self.tracer is not None else get_tracer()
+        """A context for one evaluation, under the active tracer."""
         shared = self.shared
         ctx = _Context(
             inst, lambda: active_atoms(inst, constants_of(formula)),
-            self.max_domain_size, self.max_product,
-            self.variable_ranges, tracer, strategy=self.strategy,
-            shared=(shared if shared is not None
-                    and shared.interned.instance is inst else None),
+            self.max_domain_size, self.max_product, self.variable_ranges,
+            self.strategy,
+            (shared if shared is not None
+             and shared.interned.instance is inst else None),
         )
         self.last_stats = ctx.stats
         return ctx
@@ -1178,7 +1184,7 @@ class Evaluator:
         sibling candidate rows.
         """
         memo_key = None
-        if ctx.memo_enabled:
+        if ctx.store is not None:
             free_names, rel_names = ctx.profile(formula)
             if not any(name in ctx.rel_env for name in rel_names):
                 try:
@@ -1192,7 +1198,7 @@ class Evaluator:
                         ctx.stats["satisfy_memo_hits"] += 1
                         return cached
         result = self._satisfy_quantified(formula, env, ctx)
-        if memo_key is not None and len(ctx.satisfy_memo) < ctx.max_memo:
+        if memo_key is not None and len(ctx.satisfy_memo) < DEFAULT_MAX_MEMO:
             ctx.satisfy_memo[memo_key] = result
         return result
 
@@ -1276,7 +1282,6 @@ class Evaluator:
         def grown(delta: frozenset) -> None:
             nonlocal stage
             stage += 1
-            ctx.tracer.heartbeat()
             for row in delta:
                 grew[row[:width]] = stage
 
@@ -1297,9 +1302,10 @@ class Evaluator:
                  ctx: _Context, grown: Callable[[frozenset], None] | None
                  = None) -> frozenset[tuple[Value, ...]]:
         """The fixpoint's relation under ``env``, its stages run to the
-        end.  With ``grown`` (a lifted run, see :meth:`_lifted`) an IFP
-        counts no stage and no delta row, and reports none to the
-        tracer: ``grown`` receives each stage's new rows instead."""
+        end by the loop of :mod:`repro.core.fixpoint`.  With ``grown`` (a
+        lifted run, see :meth:`_lifted`) an IFP counts no stage and no
+        delta row, and its loop reports nothing but its heartbeat:
+        ``grown`` receives each stage's new rows instead."""
         column_vars = tuple(Var(n, t) for n, t in fixpoint.columns)
         name = fixpoint.name
 
@@ -1366,12 +1372,11 @@ class Evaluator:
         with ctx.tracer.span("fixpoint", name=name,
                              kind=kind, strategy=ctx.strategy) as span:
             if fixpoint.kind == IFP:
-                result = iterate_ifp(ifp_stage, self.max_fixpoint_stages,
+                result = iterate_ifp(ifp_stage, MAX_STAGES,
                                      ctx.tracer if grown is None
-                                     else NULL_TRACER)
+                                     else _Heartbeat(ctx.tracer))
             else:
-                result = iterate_pfp(pfp_stage, self.max_fixpoint_stages,
-                                     ctx.tracer)
+                result = iterate_pfp(pfp_stage, MAX_STAGES, ctx.tracer)
             if grown is not None:  # its run reported no stage
                 span.set(lifted=True)
                 ctx.tracer.gauge_max("space.peak_fixpoint_rows", len(result))

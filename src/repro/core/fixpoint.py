@@ -10,20 +10,19 @@ The two operators differ only in how the stage formula is iterated:
   cycle of period > 1 and the fixpoint is *undefined* — signalled here by
   :class:`PFPDivergenceError`.
 
-These engines are generic over the stage function (a callable from a
-frozenset of rows to a frozenset of rows); the calculus evaluator, the
-Datalog engine and the TM simulation all drive them.  :func:`iterate_ifp`
-unions the returned rows into ``current`` itself, so a semi-naive stage
-function may return only the rows new at its stage: the sequence of
-states ``J_i`` (and hence the stage count) is the naive one's.
-
-Both engines report per-stage progress to the active
+Each operator has one loop here (:func:`ifp_loop` and the PFP loop of
+:func:`iterate_pfp`); the calculus evaluator, the Datalog engine and
+the TM simulation supply only their stage.  A loop owns the stage count,
+the per-stage heartbeat, PFP cycle detection and the ``max_stages``
+guard (at most ``max_stages`` stage applications run before
+:class:`FixpointError`), and reports every stage to the active
 :mod:`repro.obs` tracer: IFP stages carry the stage number, the current
 size and the delta vs the previous stage; PFP stages additionally carry
-the size of the state history kept for cycle detection.  ``max_stages``
-bounds the number of *stage-function applications*: with
-``max_stages=n`` at most ``n`` applications run before
-:class:`FixpointError` is raised.
+the size of the state history kept for cycle detection.
+:func:`iterate_ifp` unions the rows its stage function returns into the
+state itself, so a semi-naive stage function may return only the rows
+new at its stage: the sequence of states ``J_i`` (and hence the stage
+count) is the naive one's.
 """
 
 from __future__ import annotations
@@ -71,60 +70,51 @@ class PFPDivergenceError(FixpointError):
         self.stage = stage
 
 
-def iterate_ifp(
-    stage: StageFn,
-    max_stages: int | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> Rows:
-    """Run an inflationary fixpoint to convergence.
+#: The stage guard of the calculus evaluator and the Datalog engine.
+MAX_STAGES = 100_000
 
-    ``stage(J)`` computes ``phi(J)``; the engine adds the union with J.
-    ``max_stages`` guards against runaway stage functions (the theory
-    guarantees convergence, but a buggy stage function might not shrink):
-    at most ``max_stages`` stage applications run before
-    :class:`FixpointError`.
-    """
-    if tracer is None:
-        tracer = get_tracer()
-    current: Rows = frozenset()
+#: An IFP stage run in place: it turns the state ``J_{i-1}`` it holds
+#: into ``J_i`` and returns ``|J_i|`` and ``|J_i ∖ J_{i-1}|``.
+Step = Callable[[], Tuple[int, int]]
+
+
+def ifp_loop(step: Step, max_stages: int | None,
+             tracer: Tracer | NullTracer) -> Iterator[int]:
+    """The IFP loop: run ``step`` until a stage adds no row.  Yields each
+    stage's number before running it, so the last number yielded is the
+    number of stages run."""
     count = 0
     while True:
-        tracer.heartbeat()
-        new = frozenset(stage(current)) | current
-        count += 1
-        if tracer.enabled:
-            tracer.event("ifp.stage", stage=count, size=len(new),
-                         delta=len(new) - len(current))
-            tracer.count("ifp.stages")
-            tracer.observe("space.ifp.stage_rows", len(new))
-            tracer.gauge_max("space.peak_fixpoint_rows", len(new))
-        if new == current:
-            return current
-        current = new
+        yield count + 1
         if max_stages is not None and count >= max_stages:
             raise FixpointError(
                 f"IFP did not converge within {max_stages} stages"
             )
+        tracer.heartbeat()
+        size, added = step()
+        count += 1
+        if tracer.enabled:
+            tracer.event("ifp.stage", stage=count, size=size, delta=added)
+            tracer.count("ifp.stages")
+            tracer.observe("space.ifp.stage_rows", size)
+            tracer.gauge_max("space.peak_fixpoint_rows", size)
+        if not added:
+            return
 
 
-def iterate_pfp(
-    stage: StageFn,
-    max_stages: int | None = None,
-    tracer: Tracer | NullTracer | None = None,
-) -> Rows:
-    """Run a partial fixpoint; raise :class:`PFPDivergenceError` on cycles.
-
-    The space of states is finite, so the sequence eventually repeats;
-    we record every state seen and report the period when a repeat that
-    is not a fixed point occurs.
-    """
-    if tracer is None:
-        tracer = get_tracer()
+def _pfp_loop(stage: StageFn, max_stages: int | None,
+              tracer: Tracer | NullTracer) -> Iterator[Rows]:
+    """The PFP loop: yield the state before each stage, stop at a fixed
+    point, raise :class:`PFPDivergenceError` when a state repeats."""
     current: Rows = frozenset()
     seen: dict[Rows, int] = {current: 0}
-    count = 0
-    history_rows = 0
+    count = history_rows = 0
     while True:
+        yield current
+        if max_stages is not None and count >= max_stages:
+            raise FixpointError(
+                f"PFP did not converge within {max_stages} stages"
+            )
         tracer.heartbeat()
         new = frozenset(stage(current))
         count += 1
@@ -137,15 +127,77 @@ def iterate_pfp(
             tracer.gauge_max("space.peak_fixpoint_rows", len(new))
             tracer.gauge_max("space.pfp.history_rows", history_rows)
         if new == current:
-            return current
+            return
         if new in seen:
             raise PFPDivergenceError(period=count - seen[new], stage=count)
         seen[new] = count
         current = new
-        if max_stages is not None and count >= max_stages:
-            raise FixpointError(
-                f"PFP did not converge within {max_stages} stages"
-            )
+
+
+class _Union:
+    """The :data:`Step` ``J_i = stage(J_{i-1}) ∪ J_{i-1}`` over row sets."""
+
+    def __init__(self, stage: StageFn):
+        self.stage = stage
+        self.rows: Rows = frozenset()
+
+    def __call__(self) -> Tuple[int, int]:
+        new = frozenset(self.stage(self.rows)) | self.rows
+        added = len(new) - len(self.rows)
+        if added:
+            self.rows = new
+        return len(new), added
+
+
+def iterate_ifp(
+    stage: StageFn,
+    max_stages: int | None = None,
+    tracer: Tracer | NullTracer | None = None,
+) -> Rows:
+    """Run an inflationary fixpoint to convergence.
+
+    ``stage(J)`` computes ``phi(J)``; the loop adds the union with J.
+    ``max_stages`` guards against runaway stage functions (the theory
+    guarantees convergence, but a buggy stage function might not
+    shrink).
+    """
+    step = _Union(stage)
+    for _ in ifp_loop(step, max_stages,
+                      get_tracer() if tracer is None else tracer):
+        pass
+    return step.rows
+
+
+def ifp_stages(stage: StageFn) -> Iterator[Rows]:
+    """Yield the successive stages ``J_0, J_1, ...`` of an IFP iteration,
+    ending with the limit (yielded once)."""
+    step = _Union(stage)
+    for _ in ifp_loop(step, None, get_tracer()):
+        yield step.rows
+
+
+def iterate_pfp(
+    stage: StageFn,
+    max_stages: int | None = None,
+    tracer: Tracer | NullTracer | None = None,
+) -> Rows:
+    """Run a partial fixpoint; raise :class:`PFPDivergenceError` on cycles.
+
+    The space of states is finite, so the sequence eventually repeats;
+    every state seen is recorded and the period reported when a repeat
+    that is not a fixed point occurs.
+    """
+    for rows in _pfp_loop(stage, max_stages,
+                          get_tracer() if tracer is None else tracer):
+        pass
+    return rows
+
+
+def pfp_stages(stage: StageFn, max_stages: int | None = None) -> Iterator[Rows]:
+    """Yield successive PFP stages; stops at the fixed point or raises on
+    a cycle (after yielding the states on the way).  ``max_stages``
+    bounds stage applications exactly like :func:`iterate_pfp`."""
+    yield from _pfp_loop(stage, max_stages, get_tracer())
 
 
 class IndexPool:
@@ -236,38 +288,3 @@ def _add_rows(index: dict, rows: Iterable[Row],
             index[projection] = [row]
         else:
             bucket.append(row)
-
-
-def ifp_stages(stage: StageFn) -> Iterator[Rows]:
-    """Yield the successive stages ``J_0, J_1, ...`` of an IFP iteration,
-    ending with the limit (yielded once)."""
-    current: Rows = frozenset()
-    yield current
-    while True:
-        new = frozenset(stage(current)) | current
-        if new == current:
-            return
-        current = new
-        yield current
-
-
-def pfp_stages(stage: StageFn, max_stages: int | None = None) -> Iterator[Rows]:
-    """Yield successive PFP stages; stops at the fixed point or raises on
-    a cycle (after yielding the states on the way).  ``max_stages``
-    bounds stage applications exactly like :func:`iterate_pfp`."""
-    current: Rows = frozenset()
-    seen: dict[Rows, int] = {current: 0}
-    yield current
-    count = 0
-    while True:
-        new = frozenset(stage(current))
-        count += 1
-        if new == current:
-            return
-        if new in seen:
-            raise PFPDivergenceError(period=count - seen[new], stage=count)
-        seen[new] = count
-        current = new
-        yield current
-        if max_stages is not None and count >= max_stages:
-            raise FixpointError(f"PFP exceeded {max_stages} stages")

@@ -73,6 +73,7 @@ from .syntax import (
     Subset,
     Term,
     Var,
+    relation_names_of,
 )
 from .typecheck import TypeReport, check_query
 
@@ -339,9 +340,6 @@ class _Analyzer:
                                f"all components of {name!r} are restricted")
                     changed = True
         return frozenset(result)
-
-    def _has(self, paths: frozenset[Path], path: Path) -> bool:
-        return path in self.close(paths)
 
     # -- the rules -----------------------------------------------------------
 
@@ -748,6 +746,9 @@ class _RangeComputer:
         #: the instance's encoding, built once per instance.
         self._shared = SharedState(instance)
         self._columns: dict[tuple[str, int], frozenset[Value]] = {}
+        #: (relation name, column index) -> column variable path, set
+        #: while a fixpoint body is being collected.
+        self._column_paths: dict[tuple[str, int], Path] = {}
         #: The fixpoint stages the rule-9/9' evaluations ran, those cut
         #: short by an exception included, as a tracer counts them.
         self.stages = 0
@@ -842,14 +843,6 @@ class _RangeComputer:
                 if path is not None and column_path is not None:
                     self.add(path, self.ranges.get(column_path, ()))
 
-    #: (relation name, column index) -> column variable path, set while
-    #: a fixpoint body is being collected.
-    @property
-    def _column_paths(self) -> dict[tuple[str, int], Path]:
-        if not hasattr(self, "_column_paths_store"):
-            self._column_paths_store: dict[tuple[str, int], Path] = {}
-        return self._column_paths_store
-
     def _collect_equals(self, formula: Equals) -> None:
         lp, rp = term_path(formula.left), term_path(formula.right)
         if lp is not None and isinstance(formula.right, Const):
@@ -895,9 +888,21 @@ class _RangeComputer:
     def _flow_fixpoint_term(self, path: Path, term: FixpointTerm) -> None:
         """Rule 9' range: the term's value per binding of its parameters,
         from one evaluation (:meth:`Evaluator.term_values`: an IFP term
-        runs once, lifted, a PFP term per binding)."""
+        runs once, lifted, a PFP term per binding).  A term reading an
+        enclosing fixpoint's relation has a value only within that
+        fixpoint's stages, which the derivation does not run: no range."""
         ranges = self.variable_ranges()
         if all(var.name in ranges for var in term.fixpoint.parameters()):
+            fixpoint = term.fixpoint
+            enclosing = sorted(
+                {name for name, _ in self._column_paths}
+                & (relation_names_of(fixpoint.body) - {fixpoint.name}))
+            if enclosing:
+                raise RangeComputationError(
+                    f"no range for {path_text(path)}: its {fixpoint.kind} "
+                    f"term on {fixpoint.name} reads {enclosing[0]}, the "
+                    "relation of an enclosing fixpoint, whose stages the "
+                    "range derivation does not run")
             self.add(path, self._evaluate(Evaluator.term_values, term,
                                           self.instance))
         # else: parameters not yet ranged; a later round retries

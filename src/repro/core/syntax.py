@@ -114,9 +114,6 @@ class Var(Term):
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Var is immutable")
 
-    def with_type(self, typ: Type) -> "Var":
-        return Var(self.name, typ)
-
     def variables(self) -> Iterator["Var"]:
         yield self
 

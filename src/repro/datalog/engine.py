@@ -83,7 +83,8 @@ delta rewriting whatever order a plan takes; only the index counters
 (``eval.index_probes``/``eval.index_builds``) are the plan's own.
 Results are uninterned at the API boundary: every IDB predicate by
 :func:`evaluate_inflationary`, only the asked one by
-:func:`inflationary_answer`.  Both lanes count their own stages, so a
+:func:`inflationary_answer`.  Each lane supplies only its stage to the
+loops of :mod:`repro.core.fixpoint`, which count the stages, so a
 caller learns the stage count without installing a tracer.
 
 Partial (PFP) semantics replaces the IDB wholesale each stage, so no
@@ -93,15 +94,15 @@ stage, the semi-naive one through join plans over interned ids.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from ..core.fixpoint import (
+    MAX_STAGES,
     STRATEGIES,
-    FixpointError,
     IndexPool,
+    Step,
     check_strategy,
-    ifp_stages,
-    iterate_ifp,
+    ifp_loop,
     iterate_pfp,
 )
 from ..obs import get_tracer
@@ -129,9 +130,8 @@ __all__ = [
 
 Row = tuple
 Env = dict[str, Value]
-
-#: The entry points' default guard against a runaway fixpoint.
-_MAX_STAGES = 100_000
+#: An IDB state: each predicate's rows (a set the IFP lanes grow).
+IDB = Mapping[str, AbstractSet[Row]]
 
 
 class _Database:
@@ -142,13 +142,12 @@ class _Database:
     planner :func:`_rule_bindings` drives.
     """
 
-    def __init__(self, inst: Instance, idb: Mapping[str, frozenset[Row]],
-                 program: Program):
+    def __init__(self, inst: Instance, idb: IDB, program: Program):
         self.inst = inst
         self.idb = idb
         self.program = program
 
-    def rows(self, predicate: str) -> frozenset[Row]:
+    def rows(self, predicate: str) -> AbstractSet[Row]:
         if predicate in self.program.idb_types:
             return self.idb.get(predicate, frozenset())
         relation = self.inst.relation(predicate)
@@ -319,8 +318,7 @@ def _tally(target: set[Row], rows, previous, tracer) -> None:
         tracer.count("datalog.dedup_hits", hits)
 
 
-def _derive(rules, db,
-            idb: Mapping[str, frozenset[Row]]) -> dict[str, frozenset[Row]]:
+def _derive(rules, db, idb: IDB) -> dict[str, frozenset[Row]]:
     """Fire the given rules once against ``db`` (the naive oracle's
     database); collect head rows."""
     tracer = get_tracer()
@@ -354,8 +352,26 @@ def _delta_rules(program: Program) -> tuple[Rule, ...]:
     return tuple(variants)
 
 
+def _naive_step(program: Program, inst: Instance,
+                idb: dict[str, set[Row]]) -> Step:
+    """The naive oracle's IFP stage: every rule against the whole
+    previous IDB, whose fresh rows it then adds to ``idb``."""
+
+    def step() -> tuple[int, int]:
+        derived = _derive(program.rules, _Database(inst, idb, program), idb)
+        added = 0
+        for name, rows in derived.items():
+            fresh = rows - idb[name]
+            idb[name] |= fresh
+            added += len(fresh)
+        return sum(map(len, idb.values())), added
+
+    return step
+
+
 def _naive_stage(program: Program, inst: Instance):
-    """Build a naive stage function: all rules against the full IDB."""
+    """The naive oracle's PFP stage function: all rules against the
+    packed IDB, which the stage replaces."""
 
     def stage(packed: frozenset) -> frozenset:
         idb = _unpack(packed, program)
@@ -365,9 +381,9 @@ def _naive_stage(program: Program, inst: Instance):
     return stage
 
 
-def _pack(idb: Mapping[str, frozenset[Row]]) -> frozenset:
-    """Pack a multi-predicate IDB state into one frozenset for the
-    generic fixpoint engines (rows are tagged with their predicate)."""
+def _pack(idb: IDB) -> frozenset:
+    """Pack a multi-predicate IDB state into one frozenset for the PFP
+    loop (rows are tagged with their predicate)."""
     return frozenset(
         (name, row) for name, rows in idb.items() for row in rows
     )
@@ -392,8 +408,7 @@ class _InternedEngine:
         self.edb_pool = IndexPool(tracer, self.edb.indexes)
         self.delta_rules = _delta_rules(program)
 
-    def fire(self, rules, idb: Mapping[str, set | frozenset],
-             idb_pool: IndexPool,
+    def fire(self, rules, idb: IDB, idb_pool: IndexPool,
              delta: Mapping[str, set] | None = None) -> dict[str, set[Row]]:
         """Fire ``rules`` once, each through a plan compiled for this
         stage; collect the head rows (including rows already in
@@ -419,55 +434,42 @@ class _InternedEngine:
                    idb[predicate], tracer)
         return derived
 
-    def inflationary(self, idb: dict[str, set[Row]],
-                     max_stages: int | None = None) -> Iterator[None]:
-        """Run the inflationary iteration, growing ``idb`` (one empty
-        set per predicate on entry) in place; yield after every stage
-        that added rows.
+    def inflationary_step(self, idb: dict[str, set[Row]]) -> Step:
+        """The semi-naive IFP stage over ``idb`` (one empty set per
+        predicate on entry), which it grows in place.
 
         The first stage fires every rule, later ones only the delta
         variants against the previous stage's fresh rows.  One pool
         indexes the IDB for the whole run: fresh rows are appended to
-        its indexes.  Emits the stage events and counters of
-        :func:`repro.core.fixpoint.iterate_ifp`.
-        ``datalog.delta_rows`` counts the fresh rows a stage contributes;
-        ``datalog.refires_avoided`` counts, per delta stage, the rows
-        already settled in the IDB — each is at least one re-derivation
-        the naive engine would perform and this stage skips.
+        its indexes.  ``datalog.delta_rows`` counts the fresh rows a
+        stage contributes; ``datalog.refires_avoided`` counts, per delta
+        stage, the rows already settled in the IDB — each is at least
+        one re-derivation the naive engine would perform and this stage
+        skips.
         """
         tracer = self.tracer
         pool = IndexPool(tracer)
         rules, delta = self.program.rules, None
-        settled = count = 0
-        while True:
-            tracer.heartbeat()
+        settled = 0
+
+        def step() -> tuple[int, int]:
+            nonlocal rules, delta, settled
             derived = self.fire(rules, idb, pool, delta)
             fresh = {name: rows - idb[name] for name, rows in derived.items()}
-            added = sum(len(rows) for rows in fresh.values())
-            count += 1
+            added = sum(map(len, fresh.values()))
             if tracer.enabled:
                 tracer.count("datalog.delta_rows", added)
                 if settled:
                     tracer.count("datalog.refires_avoided", settled)
-                size = settled + added
-                tracer.event("ifp.stage", stage=count, size=size,
-                             delta=added)
-                tracer.count("ifp.stages")
-                tracer.observe("space.ifp.stage_rows", size)
-                tracer.gauge_max("space.peak_fixpoint_rows", size)
-            if not added:
-                return
             for name, rows in fresh.items():
                 if rows:
                     idb[name] |= rows
                     pool.append(name, rows)
-            settled += added
-            yield
-            if max_stages is not None and count >= max_stages:
-                raise FixpointError(
-                    f"IFP did not converge within {max_stages} stages"
-                )
             rules, delta = self.delta_rules, fresh
+            settled += added
+            return settled, added
+
+        return step
 
     def partial_stage(self, packed: frozenset) -> frozenset:
         """One PFP stage over the packed state: every rule, with a fresh
@@ -509,8 +511,7 @@ def _prepare(program: Program, inst: Instance, strategy: str,
     return _InternedEngine(program, inst, tracer)
 
 
-def _publish(idb: Mapping[str, set[Row] | frozenset[Row]],
-             engine: _InternedEngine | None, tracer, span) -> None:
+def _publish(idb: IDB, engine: _InternedEngine | None, tracer, span) -> None:
     """Report the final IDB's sizes (its id rows number as many as
     their decoding)."""
     span.set(rows=sum(len(rows) for rows in idb.values()))
@@ -522,8 +523,7 @@ def _publish(idb: Mapping[str, set[Row] | frozenset[Row]],
             tracer.gauge(f"space.idb[{name}]", len(idb[name]))
 
 
-def _decode(idb: Mapping[str, set[Row] | frozenset[Row]],
-            engine: _InternedEngine | None,
+def _decode(idb: IDB, engine: _InternedEngine | None,
             names: Iterable[str]) -> dict[str, frozenset[Row]]:
     """The rows of the IDB predicates ``names`` as value tuples: the
     naive oracle's already are, the semi-naive engine's id rows are
@@ -534,45 +534,40 @@ def _decode(idb: Mapping[str, set[Row] | frozenset[Row]],
     return {name: frozenset(map(unintern, idb[name])) for name in names}
 
 
-def _inflationary(program: Program, inst: Instance,
-                  max_stages: int | None, strategy: str,
+def _ifp_run(program: Program, inst: Instance, strategy: str, tracer
+             ) -> tuple[_InternedEngine | None, dict[str, set[Row]],
+                        Iterator[int]]:
+    """Validate the inputs; the semi-naive engine's state (None for the
+    naive oracle), the IDB (one set per predicate, grown in place) and
+    the IFP loop over the lane's stage, not yet started."""
+    engine = _prepare(program, inst, strategy, tracer)
+    idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
+    step = (_naive_step(program, inst, idb) if engine is None
+            else engine.inflationary_step(idb))
+    return engine, idb, ifp_loop(step, MAX_STAGES, tracer)
+
+
+def _inflationary(program: Program, inst: Instance, strategy: str,
                   decoded: Iterable[str]
                   ) -> tuple[dict[str, frozenset[Row]], int]:
     """Run the inflationary fixpoint on either lane, within its span,
     and publish the final IDB's sizes: the rows of the ``decoded``
-    predicates, and the number of stages (those a tracer counts as
-    ``ifp.stages``).  Only the decoding differs between
+    predicates, and the number of stages the loop ran (those a tracer
+    counts as ``ifp.stages``).  Only the decoding differs between
     :func:`evaluate_inflationary` and :func:`inflationary_answer`."""
     tracer = get_tracer()
     with tracer.span("datalog.inflationary",
                      idb=sorted(program.idb_types),
                      strategy=strategy) as span:
-        engine = _prepare(program, inst, strategy, tracer)
-        idb: Mapping[str, set[Row] | frozenset[Row]]
-        if engine is None:
-            stage, stages = _naive_stage(program, inst), 0
-
-            def counted(packed: frozenset) -> frozenset:
-                nonlocal stages
-                rows = stage(packed)
-                stages += 1
-                return rows
-
-            idb = _unpack(iterate_ifp(counted, max_stages, tracer), program)
-        else:
-            grown: dict[str, set[Row]] = {name: set()
-                                          for name in program.idb_types}
-            # The stage that adds no rows ends the run without yielding.
-            stages = 1 + sum(1 for _ in engine.inflationary(grown,
-                                                            max_stages))
-            idb = grown
+        engine, idb, loop = _ifp_run(program, inst, strategy, tracer)
+        for stages in loop:
+            pass
         _publish(idb, engine, tracer, span)
         return _decode(idb, engine, decoded), stages
 
 
 def evaluate_inflationary(
     program: Program, inst: Instance,
-    max_stages: int | None = _MAX_STAGES,
     strategy: str = "seminaive",
 ) -> dict[str, frozenset[Row]]:
     """Inflationary semantics: ``J_i = T(J_{i-1}) ∪ J_{i-1}``.
@@ -584,8 +579,7 @@ def evaluate_inflationary(
     and stage sequences (see the module docstring).  Returns every IDB
     predicate's rows.
     """
-    return _inflationary(program, inst, max_stages, strategy,
-                         program.idb_types)[0]
+    return _inflationary(program, inst, strategy, program.idb_types)[0]
 
 
 def inflationary_answer(
@@ -597,17 +591,15 @@ def inflationary_answer(
 
     The same run as :func:`evaluate_inflationary`, with the same spans,
     counters and gauges under a tracer, but only ``predicate``'s rows
-    are decoded.  The stage count is the engine's own, so an untraced
+    are decoded.  The stage count is the loop's own, so an untraced
     caller gets it too.
     """
-    rows, stages = _inflationary(program, inst, _MAX_STAGES, strategy,
-                                 (predicate,))
+    rows, stages = _inflationary(program, inst, strategy, (predicate,))
     return rows[predicate], stages
 
 
 def evaluate_partial(
     program: Program, inst: Instance,
-    max_stages: int | None = _MAX_STAGES,
     strategy: str = "seminaive",
 ) -> dict[str, frozenset[Row]]:
     """Partial (non-inflationary) semantics: ``J_i = T(J_{i-1})``.
@@ -627,7 +619,7 @@ def evaluate_partial(
         engine = _prepare(program, inst, strategy, tracer)
         stage = (_naive_stage(program, inst)
                  if engine is None else engine.partial_stage)
-        idb = _unpack(iterate_pfp(stage, max_stages, tracer), program)
+        idb = _unpack(iterate_pfp(stage, MAX_STAGES, tracer), program)
         _publish(idb, engine, tracer, span)
         return _decode(idb, engine, program.idb_types)
 
@@ -641,12 +633,6 @@ def inflationary_stages(
     The stage sequence is strategy-independent; exposing the parameter
     lets the differential tests assert exactly that.
     """
-    engine = _prepare(program, inst, strategy, get_tracer())
-    if engine is None:
-        for packed in ifp_stages(_naive_stage(program, inst)):
-            yield _unpack(packed, program)
-        return
-    idb: dict[str, set[Row]] = {name: set() for name in program.idb_types}
-    yield _decode(idb, engine, program.idb_types)
-    for _ in engine.inflationary(idb):
+    engine, idb, loop = _ifp_run(program, inst, strategy, get_tracer())
+    for _ in loop:
         yield _decode(idb, engine, program.idb_types)

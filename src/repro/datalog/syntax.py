@@ -278,11 +278,6 @@ class Program:
             rule.head.predicate for rule in self.rules
         )
 
-    def rules_for(self, predicate: str) -> tuple[Rule, ...]:
-        """The rules whose head is ``predicate`` (program order)."""
-        return tuple(rule for rule in self.rules
-                     if rule.head.predicate == predicate)
-
     def dependency_edges(self) -> frozenset[DepEdge]:
         """The labelled predicate dependency graph.
 

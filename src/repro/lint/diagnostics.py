@@ -377,11 +377,16 @@ class LintReport:
     ``analysis`` carries the :class:`repro.lint.program.ProgramAnalysis`
     artifact when the run linted a Datalog program (None otherwise), so
     downstream consumers — the CLI's ``--json`` ``program`` section,
-    the backend router — reuse it instead of re-analyzing.
+    the backend router — reuse it instead of re-analyzing.  The
+    complexity pass records its Theorem 5.1 verdict in ``bound``
+    (``LOGSPACE``/``PTIME``/``PSPACE``) and ``range_restricted``; both
+    stay None when the pass did not run (a type error stops the lint).
     """
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     analysis: object | None = None
+    bound: str | None = field(default=None, init=False)
+    range_restricted: bool | None = field(default=None, init=False)
 
     def add(self, diagnostic: Diagnostic) -> Diagnostic:
         self.diagnostics.append(diagnostic)
@@ -403,12 +408,6 @@ class LintReport:
     @property
     def warnings(self) -> list[Diagnostic]:
         return self.by_severity(Severity.WARNING)
-
-    @property
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
 
     def fails(self, fail_on: Severity = Severity.ERROR) -> bool:
         """True iff some diagnostic reaches the ``fail_on`` threshold."""

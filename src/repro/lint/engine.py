@@ -311,6 +311,8 @@ def _pass_complexity(
         language, bound = "CALC+IFP", "PTIME"
     else:
         language, bound = "CALC", "LOGSPACE"
+    report.bound = bound
+    report.range_restricted = rr_result.is_range_restricted
     if exempt_types:
         listed = ", ".join(sorted(repr(t) for t in exempt_types))
         report.add(Diagnostic(

@@ -55,14 +55,6 @@ class Value:
         for some superset D of its atoms."""
         raise NotImplementedError
 
-    def depth_counts(self) -> dict[Type, int]:
-        """Count sub-objects per inferred type (used by density analysis)."""
-        counts: dict[Type, int] = {}
-        for sub in self.subobjects():
-            typ = sub.infer_type()
-            counts[typ] = counts.get(typ, 0) + 1
-        return counts
-
     def subobjects(self) -> Iterator["Value"]:
         """Yield this value and all its sub-objects, pre-order."""
         raise NotImplementedError

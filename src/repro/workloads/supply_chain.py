@@ -608,8 +608,9 @@ def question_verdict(question: Question,
                      schema: DatabaseSchema | None = None) -> str:
     """The analyzer-derived color of a question, recomputed from the
     lint passes — GREEN/YELLOW/RED exactly when the program analyzer's
-    routing verdict (Datalog) or the CPX001 complexity bound (CALC)
-    lands on the matching tier.  The tests assert this equals the
+    routing verdict (Datalog) or the complexity pass's Theorem 5.1
+    bound (CALC, :attr:`~repro.lint.LintReport.bound`) lands on the
+    matching tier.  The tests assert this equals the
     declared :attr:`Question.verdict` for every inventory entry."""
     schema = schema or supply_chain_schema()
     compiled = question.compiled
@@ -629,15 +630,9 @@ def question_verdict(question: Question,
     from ..lint import lint_query
 
     report = lint_query(compiled, schema)
-    verdicts = [d for d in report.diagnostics if d.code == "CPX001"]
-    if not verdicts:
+    if not report.range_restricted:
         return "RED"  # not range-restricted: no tractability guarantee
-    message = verdicts[0].message
-    if "LOGSPACE" in message:
-        return "GREEN"
-    if "PTIME" in message:
-        return "YELLOW"
-    return "RED"
+    return {"LOGSPACE": "GREEN", "PTIME": "YELLOW"}.get(report.bound, "RED")
 
 
 # ---------------------------------------------------------------------------

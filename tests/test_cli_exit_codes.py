@@ -21,6 +21,11 @@ UNSAFE = "{[x:{U}] | not G(x, x)}"
 #: over a flat schema) — distinguishes --fail-on error from warning.
 WARN_ONLY = ("{[x:U] | P(x, x) and exists s:{U} "
              "(forall y:U (y in s <-> P(x, y)))}")
+#: Range restricted (lint: CPX001), but t's rule-9' term reads S, the
+#: enclosing fixpoint's relation, so range derivation cannot range t.
+NO_DERIVED_RANGE = ("{[x:{U}, y:{U}] | ifp[S(x:{U}, y:{U})](G(x,y) or "
+                    "exists t:{{U}} (t = ifp[Q(w:{U})](S(x,w) or G(x,w)) "
+                    "and y in t and G(y,y)))(x,y)}")
 
 
 @pytest.fixture
@@ -67,6 +72,30 @@ class TestQueryCommand:
         with pytest.raises(SystemExit) as excinfo:
             main([command, graph_file, SAFE, "--intern"])
         assert excinfo.value.code == EXIT_ERROR
+
+
+class TestUnderivableRange:
+    """``NO_DERIVED_RANGE`` under each mode: no traceback anywhere."""
+
+    def test_auto_falls_back_to_active_domain(self, graph_file, capsys):
+        assert main(["query", graph_file, NO_DERIVED_RANGE]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["[{a}, {b}]", "[{b}, {c}]"]
+        assert "no range for t" in captured.err
+        assert "falling back to active-domain semantics" in captured.err
+
+    def test_rr_mode_is_a_finding(self, graph_file, capsys):
+        code = main(["query", graph_file, NO_DERIVED_RANGE, "--mode", "rr"])
+        assert code == EXIT_FINDINGS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "range-restricted evaluation failed: no range for t")
+
+    def test_lint_verdict_unchanged(self, graph_file, capsys):
+        assert main(["lint", graph_file, NO_DERIVED_RANGE]) == EXIT_OK
+        assert "info[CPX001] range-restricted CALC+IFP query: evaluable " \
+            "in PTIME" in capsys.readouterr().out
 
 
 class TestAnalyzeCommand:

@@ -13,6 +13,7 @@ from repro.core.fixpoint import (
     pfp_stages,
 )
 from repro.objects import atom, cset, ctuple, database_schema, instance
+from repro.obs import Tracer, use_tracer
 from repro.workloads import (
     cyclic_nodes_query,
     pfp_transitive_closure_query,
@@ -177,6 +178,28 @@ class TestFixpointSemantics:
         assert answers == frozenset({ctuple(a, c)})
 
 
+class TestViewsRunTheLoop:
+    """The generator views run the loop the iterations run, so under a
+    tracer they report the same stage events and counters."""
+
+    @pytest.mark.parametrize("iterate,view", [(iterate_ifp, ifp_stages),
+                                              (iterate_pfp, pfp_stages)])
+    def test_same_stage_reports(self, iterate, view):
+        def stage(current):
+            return frozenset((n,) for n in range(min(len(current) + 1, 3)))
+
+        def report(run):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                run()
+            return ([(event.name, event.attrs)
+                     for event in tracer.root.events], tracer.counters)
+
+        iterated = report(lambda: iterate(stage))
+        assert iterated == report(lambda: list(view(stage)))
+        assert len(iterated[0]) == 4  # three growing stages, then the limit
+
+
 class TestMaxStagesBound:
     """``max_stages=n`` permits at most n stage-function applications
     (regression: the old ``count > max_stages`` check allowed n+1)."""
@@ -218,6 +241,18 @@ class TestMaxStagesBound:
         with pytest.raises(FixpointError):
             list(generator)
         assert len(calls) == 3
+
+    def test_pfp_views_share_the_bound_and_its_message(self):
+        """The generator view stops where the iteration does, with the
+        same error."""
+        iterated, viewed = [], []
+        with pytest.raises(FixpointError) as iterate_error:
+            iterate_pfp(self._growing_stage(iterated), max_stages=3)
+        with pytest.raises(FixpointError) as view_error:
+            list(pfp_stages(self._growing_stage(viewed), max_stages=3))
+        assert len(iterated) == len(viewed) == 3
+        assert str(iterate_error.value) == str(view_error.value) \
+            == "PFP did not converge within 3 stages"
 
     def test_pfp_stages_unbounded_by_default(self):
         def stage(current):

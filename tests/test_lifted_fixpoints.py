@@ -288,6 +288,34 @@ class TestWhereTheLiftRuns:
         assert runs == ["Q", "Q", "Q"]
         assert report.stages == 60
 
+    def test_a_lifted_run_beats_once_per_stage(self, monkeypatch):
+        """A lifted run reports no stage, but its loop still beats the
+        heartbeat once per stage, so the stall watchdog sees it live."""
+        beats: list[None] = []
+        runs: list[tuple[int, int]] = []
+        iterate = Evaluator._iterate
+
+        def recording(self, fixpoint, env, ctx, grown=None):
+            if grown is None:
+                return iterate(self, fixpoint, env, ctx, grown)
+            stages = []
+            before = len(beats)
+            rows = iterate(self, fixpoint, env, ctx,
+                           lambda delta: (stages.append(delta), grown(delta)))
+            runs.append((len(beats) - before, len(stages)))
+            return rows
+
+        monkeypatch.setattr(Evaluator, "_iterate", recording)
+        tracer = Tracer()
+        monkeypatch.setattr(tracer, "heartbeat", lambda: beats.append(None))
+        question = question_by_name("calc-order-nest")
+        with use_tracer(tracer):
+            evaluate_range_restricted(question.compiled,
+                                      supply_chain_instance(1, GOLDEN_SEED))
+        assert len(runs) == 3
+        assert all(beat_count == stage_count > 0
+                   for beat_count, stage_count in runs)
+
     def test_a_binding_with_no_rows_gets_the_empty_set(self, monkeypatch):
         """x = c reaches nothing through G(x, y) ∧ ¬G(y, x)."""
         runs = _lifted_runs(monkeypatch)

@@ -126,6 +126,46 @@ class TestStageContract:
         assert traced[0]["s"] == [cset(atom("c"))]
 
 
+def _stage_report(question, inst, lane):
+    """The stage events of one traced answer, in emission order, and
+    the stage counters and histograms the fixpoint loops report."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        answer_question(question, inst, strategy=lane)
+    spans, events = [tracer.root], []
+    while spans:
+        span = spans.pop()
+        spans += span.children
+        events += [event for event in span.events
+                   if event.name in ("ifp.stage", "pfp.stage")]
+    events.sort(key=lambda event: event.time)
+    counters = {name: tracer.counters.get(name) for name in
+                ("ifp.stages", "pfp.stages", "space.peak_fixpoint_rows")}
+    histograms = {name: histogram.to_json()
+                  for name, histogram in tracer.metrics.histograms()
+                  if name in ("space.ifp.stage_rows", "space.pfp.stage_rows")}
+    return [(event.name, event.attrs) for event in events], counters, \
+        histograms
+
+
+class TestLanesShareTheStageLoop:
+    """Both lanes run their fixpoints through the loops of
+    :mod:`repro.core.fixpoint`, so they report the same stages: event
+    for event, with the same stage counters and row histograms.
+    ``calc-order-nest``'s seminaive answer reads lifted runs, which
+    credit each binding its stages without per-stage events, so it
+    compares the counters only."""
+
+    @pytest.mark.parametrize("question", QUESTIONS, ids=lambda q: q.name)
+    def test_scale1(self, instances, question):
+        naive = _stage_report(question, instances[1], "naive")
+        seminaive = _stage_report(question, instances[1], "seminaive")
+        assert naive[1] == seminaive[1]
+        if question.name != "calc-order-nest":
+            assert naive[0] == seminaive[0]
+            assert naive[2] == seminaive[2]
+
+
 # ---------------------------------------------------------------------------
 # The untraced path
 # ---------------------------------------------------------------------------

@@ -237,6 +237,22 @@ class TestRangeFunctions:
         with pytest.raises(RangeComputationError):
             compute_ranges(bipartite_query(), cycle_graph(3))
 
+    def test_term_reading_an_enclosing_relation_has_no_range(
+            self, set_graph_instance):
+        """Q's term reads S, which has rows only within S's stages: the
+        query is range restricted, but rule 9' cannot range t, and the
+        derivation says so instead of evaluating Q outside S."""
+        from repro.core.parser import parse_query
+
+        q = parse_query(
+            "{[x:{U}, y:{U}] | ifp[S(x:{U}, y:{U})](G(x,y) or exists "
+            "t:{{U}} (t = ifp[Q(w:{U})](S(x,w) or G(x,w)) and y in t "
+            "and G(y,y)))(x,y)}")
+        assert is_range_restricted(q, set_graph_instance.schema)
+        with pytest.raises(RangeComputationError,
+                           match="no range for t: its IFP term on Q reads S"):
+            compute_ranges(q, set_graph_instance)
+
     def test_constants_seed_ranges(self, p_instance):
         x, y = V("x", "U"), V("y", "U")
         q = query([x], eq(x, C("z")) & ~rel("P")(x, x))
