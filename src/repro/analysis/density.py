@@ -149,6 +149,11 @@ def is_sparse_for_type(inst: Instance, typ: Type,
 # Family classification
 # ---------------------------------------------------------------------------
 
+#: A family's degree sequence is stable (does not grow) when its final
+#: degree is at most this factor times the smallest observed degree.
+DEGREE_TOLERANCE = 1.5
+
+
 @dataclass(frozen=True)
 class DensityVerdict:
     """Empirical classification of an instance family.
@@ -158,7 +163,7 @@ class DensityVerdict:
     sweep.  Sparsity means ``|I| <= P(log|dom|)``, i.e. the implied
     degree ``log2|I| / log2(log2|dom|)`` stays bounded.  The verdicts
     require the respective degree sequence not to grow (last point within
-    ``tolerance`` of the minimum observed degree).
+    :data:`DEGREE_TOLERANCE` of the minimum observed degree).
     """
 
     points: tuple[tuple[int, float], ...]  # (|I|, log2|dom|)
@@ -173,15 +178,14 @@ def classify_family(
     i: int,
     k: int,
     sizes: Iterable[int],
-    tolerance: float = 1.5,
 ) -> DensityVerdict:
     """Empirically classify a family as dense/sparse w.r.t. ``<i,k>``-types.
 
     ``make_instance(n)`` generates the family member of parameter n.  For
     each member, the implied polynomial degrees are computed; the family
     looks dense (resp. sparse) if the corresponding degree sequence does
-    not grow — the final degree is at most ``tolerance`` times the
-    minimum observed degree.
+    not grow — the final degree is at most :data:`DEGREE_TOLERANCE`
+    times the minimum observed degree.
     """
     points: list[tuple[int, float]] = []
     for n in sizes:
@@ -200,7 +204,8 @@ def classify_family(
         if len(degrees) < 2:
             return False
         smallest = min(degrees)
-        return degrees[-1] <= max(smallest * tolerance, smallest + 0.5)
+        return degrees[-1] <= max(smallest * DEGREE_TOLERANCE,
+                                  smallest + 0.5)
 
     return DensityVerdict(
         points=tuple(points),

@@ -6,10 +6,8 @@ point's wall time *and* space counters under a fresh tracer (serially,
 or sharded over a process pool via :mod:`repro.bench.shard` with
 ``jobs > 1``); :mod:`repro.bench.fit` fits log-log slopes and doubling
 ratios and classifies each curve poly-vs-superpolynomial;
-:mod:`repro.bench.report` renders the result and regression-gates it
-against a committed ``schema: 1`` baseline; and
-:mod:`repro.bench.trend` stitches the per-PR ``BENCH_PR<N>.json``
-documents (all ``schema: 1``) into cross-PR trajectories.  The CLI front end is
+and :mod:`repro.bench.report` renders the result and regression-gates
+it against a committed ``schema: 1`` baseline.  The CLI front end is
 ``repro bench``.
 
 Typical use::
@@ -56,13 +54,6 @@ from .runner import (
     series,
 )
 from .shard import PointTask, run_sharded, run_tasks, strip_timing
-from .trend import (
-    TrendError,
-    build_trend,
-    label_for_path,
-    load_documents,
-    render_trend,
-)
 
 __all__ = [
     "Fit",
@@ -96,9 +87,4 @@ __all__ = [
     "render_document",
     "diff_against_baseline",
     "document_failures",
-    "TrendError",
-    "label_for_path",
-    "load_documents",
-    "build_trend",
-    "render_trend",
 ]

@@ -179,17 +179,12 @@ def doubling_ratios(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
     return ratios
 
 
-def classify(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    superpoly_step: float = SUPERPOLY_STEP,
-    superpoly_margin: float = SUPERPOLY_MARGIN,
-) -> Classification:
+def classify(xs: Sequence[float], ys: Sequence[float]) -> Classification:
     """Poly-degree-d vs superpolynomial.
 
     A series is superpolynomial when its local degrees increase
-    monotonically with every step at least ``superpoly_step`` and a
-    total increase of at least ``superpoly_margin``; otherwise it is
+    monotonically with every step at least :data:`SUPERPOLY_STEP` and a
+    total increase of at least :data:`SUPERPOLY_MARGIN`; otherwise it is
     polynomial with the fitted log-log slope as its degree.  The double
     condition makes the detector one-sided in the safe direction: noisy
     polynomial timings stay "poly", while any genuinely exponential
@@ -199,9 +194,9 @@ def classify(
     fit = loglog_fit(xs, ys)
     if len(degrees) >= 2:
         steps = [b - a for a, b in zip(degrees, degrees[1:])]
-        monotone = all(step >= superpoly_step for step in steps)
+        monotone = all(step >= SUPERPOLY_STEP for step in steps)
         total = degrees[-1] - degrees[0]
-        if monotone and total >= superpoly_margin:
+        if monotone and total >= SUPERPOLY_MARGIN:
             return Classification(
                 kind="superpoly", degree=fit.slope, r2=fit.r2,
                 local_degrees=tuple(degrees),

@@ -11,8 +11,8 @@ and — the part the scripts never had — the *predicted* resource shapes:
 * :class:`SpeedupGate` — one strategy must beat another by a factor at
   the largest size (the PR 3 ``>=2x`` semi-naive gate lives on as a
   declaration);
-* :class:`Tolerance` — deterministic counters regress-gated against a
-  committed baseline (``max_ratio=0`` means exact match).
+* :class:`Tolerance` — a deterministic counter that must equal its value
+  in a committed baseline.
 
 Suites keep their ``run(n, strategy)`` callables tiny: build the
 workload, evaluate, return a checksum.  All measurement (timing, space
@@ -77,17 +77,15 @@ class SpeedupGate:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Regression tolerance for a deterministic metric vs a baseline.
+    """A deterministic counter gated against a committed baseline.
 
-    Per size/strategy point, the new value may exceed the baseline by at
-    most ``max_ratio`` (relative); ``0.0`` demands equality.  Counters
-    only ever compare against the same machine-independent quantities —
-    wall times are never diffed across runs (the speedup gates cover
-    time, as within-run ratios).
+    Per size/strategy point, the new value must equal the baseline's: a
+    rise and a fall both breach, and integers compare exactly.  Wall
+    times are never diffed across runs (the speedup gates cover time,
+    as within-run ratios).
     """
 
     metric: str
-    max_ratio: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -1033,8 +1031,8 @@ _register(Suite(
     ),
     gates=(SpeedupGate(slow="naive", fast="seminaive", min_ratio=5.0),),
     tolerances=(
-        Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
+        Tolerance(metric="datalog.rows_derived"),
+        Tolerance(metric="ifp.stages"),
     ),
 ))
 
@@ -1096,8 +1094,8 @@ _register(Suite(
     strategies=("naive", "seminaive"),
     run=_run_calc_ifp_tc,
     tolerances=(
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
-        Tolerance(metric="eval.delta_rows", max_ratio=0.0),
+        Tolerance(metric="ifp.stages"),
+        Tolerance(metric="eval.delta_rows"),
     ),
 ))
 
@@ -1149,7 +1147,7 @@ _register(Suite(
                     bound_coefficient=1.0,
                     note="encoded route quantifies over n atom tuples"),
     ),
-    tolerances=(Tolerance(metric="collapse.domain_values", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="collapse.domain_values"),),
     agree=True,  # decoded answers must match: RR == RR+encoding
 ))
 
@@ -1173,8 +1171,8 @@ _register(Suite(
                     note="sparse family stays |I| = n - 1"),
     ),
     tolerances=(
-        Tolerance(metric="lemma41.dense_dom_values", max_ratio=0.0),
-        Tolerance(metric="lemma41.sparse_rows", max_ratio=0.0),
+        Tolerance(metric="lemma41.dense_dom_values"),
+        Tolerance(metric="lemma41.sparse_rows"),
     ),
     agree=False,
 ))
@@ -1190,8 +1188,8 @@ _register(Suite(
                     metric="space.peak_fixpoint_rows", min_ratio=10.0),
     ),
     tolerances=(
-        Tolerance(metric="space.peak_fixpoint_rows", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
+        Tolerance(metric="space.peak_fixpoint_rows"),
+        Tolerance(metric="ifp.stages"),
     ),
     agree=True,  # both simulations must leave the same final tape
 ))
@@ -1213,7 +1211,7 @@ _register(Suite(
                     note="the P(hyper(1,k)) envelope: <= 2 * n**2 * 2**n"),
     ),
     tolerances=(
-        Tolerance(metric="eval.quantifier_iterations", max_ratio=0.0),
+        Tolerance(metric="eval.quantifier_iterations"),
     ),
     agree=False,
 ))
@@ -1233,7 +1231,7 @@ _register(Suite(
     gates=(
         SpeedupGate(slow="calc", fast="loop", min_ratio=2.0),
     ),
-    tolerances=(Tolerance(metric="ifp.stages", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="ifp.stages"),),
     agree=True,  # all four engines must return the same closure
 ))
 
@@ -1253,8 +1251,8 @@ _register(Suite(
         SpeedupGate(slow="calc", fast="datalog", min_ratio=2.0),
     ),
     tolerances=(
-        Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
+        Tolerance(metric="datalog.rows_derived"),
+        Tolerance(metric="ifp.stages"),
     ),
     agree=True,  # translation correctness: planner == calculus
 ))
@@ -1274,8 +1272,8 @@ _register(Suite(
                          "in the instance even for the naive evaluator"),
     ),
     tolerances=(
-        Tolerance(metric="dense.instance_size", max_ratio=0.0),
-        Tolerance(metric="eval.formula_checks", max_ratio=0.0),
+        Tolerance(metric="dense.instance_size"),
+        Tolerance(metric="eval.formula_checks"),
     ),
     agree=True,  # naive and semi-naive closures coincide
 ))
@@ -1293,7 +1291,7 @@ _register(Suite(
                     bound_coefficient=1.0,
                     note="nest yields exactly one row per key"),
     ),
-    tolerances=(Tolerance(metric="nest.answer_rows", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="nest.answer_rows"),),
     agree=True,  # all three routes must produce the same nested rows
 ))
 
@@ -1312,9 +1310,9 @@ _register(Suite(
                     strategy="deep", bound_degree=1, bound_coefficient=3.0),
     ),
     tolerances=(
-        Tolerance(metric="lint.program.edges", max_ratio=0.0),
-        Tolerance(metric="lint.program.sccs", max_ratio=0.0),
-        Tolerance(metric="lint.program.adornments", max_ratio=0.0),
+        Tolerance(metric="lint.program.edges"),
+        Tolerance(metric="lint.program.sccs"),
+        Tolerance(metric="lint.program.adornments"),
     ),
     agree=False,  # wide and deep are different programs by design
 ))
@@ -1335,8 +1333,8 @@ _register(Suite(
                          "one exponential level (Section 2)"),
     ),
     tolerances=(
-        Tolerance(metric="domain.dom12_cardinality", max_ratio=0.0),
-        Tolerance(metric="domain.dom12_bits", max_ratio=0.0),
+        Tolerance(metric="domain.dom12_cardinality"),
+        Tolerance(metric="domain.dom12_bits"),
     ),
     agree=False,
 ))
@@ -1356,7 +1354,7 @@ _register(Suite(
     gates=(
         SpeedupGate(slow="formula", fast="comparator", min_ratio=5.0),
     ),
-    tolerances=(Tolerance(metric="order.lt_pairs", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="order.lt_pairs"),),
     agree=True,  # all four routes count the same less-than pairs
 ))
 
@@ -1377,8 +1375,8 @@ _register(Suite(
         SpeedupGate(slow="powerset", fast="loop", min_ratio=5.0),
     ),
     tolerances=(
-        Tolerance(metric="algebra.powerset_subsets", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
+        Tolerance(metric="algebra.powerset_subsets"),
+        Tolerance(metric="ifp.stages"),
     ),
     agree=True,  # all three routes must return the same closure
 ))
@@ -1405,7 +1403,7 @@ _register(Suite(
         SpeedupGate(slow="set-type", fast="u-table",
                     metric="code.rows", min_ratio=20.0),
     ),
-    tolerances=(Tolerance(metric="code.rows", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="code.rows"),),
     agree=False,  # the two dictionaries encode different types
 ))
 
@@ -1426,7 +1424,7 @@ _register(Suite(
     gates=(
         SpeedupGate(slow="bruteforce", fast="analytic", min_ratio=10.0),
     ),
-    tolerances=(Tolerance(metric="encoding.total_symbols", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="encoding.total_symbols"),),
     agree=True,  # recurrence == enumeration, per point
 ))
 
@@ -1449,8 +1447,8 @@ _register(Suite(
     ),
     gates=(SpeedupGate(slow="active", fast="rr", min_ratio=4.0),),
     tolerances=(
-        Tolerance(metric="eval.quantifier_iterations", max_ratio=0.0),
-        Tolerance(metric="space.peak_range", max_ratio=0.0),
+        Tolerance(metric="eval.quantifier_iterations"),
+        Tolerance(metric="space.peak_range"),
     ),
     agree=True,  # Theorem 5.1: RR evaluation == active-domain evaluation
 ))
@@ -1479,8 +1477,8 @@ _register(Suite(
                          "employees: no prohibitive cost"),
     ),
     tolerances=(
-        Tolerance(metric="density.day_used", max_ratio=0.0),
-        Tolerance(metric="eval.quantifier_iterations", max_ratio=0.0),
+        Tolerance(metric="density.day_used"),
+        Tolerance(metric="eval.quantifier_iterations"),
     ),
     agree=False,  # the strategies measure different quantities
 ))
@@ -1503,8 +1501,8 @@ _register(Suite(
         SpeedupGate(slow="relational", fast="native", min_ratio=100.0),
     ),
     tolerances=(
-        Tolerance(metric="sim.rm_rows", max_ratio=0.0),
-        Tolerance(metric="sim.steps", max_ratio=0.0),
+        Tolerance(metric="sim.rm_rows"),
+        Tolerance(metric="sim.steps"),
     ),
     agree=True,  # both routes must leave the same final tape
 ))
@@ -1526,7 +1524,7 @@ _register(Suite(
                     max_degree=1.8,
                     note="generation is linear in the scale"),
     ),
-    tolerances=(Tolerance(metric="sc.rows", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="sc.rows"),),
     agree=False,  # single strategy
 ))
 
@@ -1551,8 +1549,8 @@ _register(Suite(
     ),
     gates=(SpeedupGate(slow="naive", fast="seminaive", min_ratio=3.0),),
     tolerances=(
-        Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
+        Tolerance(metric="datalog.rows_derived"),
+        Tolerance(metric="ifp.stages"),
     ),
     agree=True,  # both lanes must return the same closure
 ))
@@ -1565,9 +1563,9 @@ _register(Suite(
     strategies=("naive", "seminaive"),
     run=_run_supply_chain_questions,
     tolerances=(
-        Tolerance(metric="sc.questions", max_ratio=0.0),
-        Tolerance(metric="sc.question_rows", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
+        Tolerance(metric="sc.questions"),
+        Tolerance(metric="sc.question_rows"),
+        Tolerance(metric="ifp.stages"),
     ),
     agree=True,  # rollup checksum: per-question answers must coincide
 ))
@@ -1580,9 +1578,9 @@ _register(Suite(
     strategies=("seminaive",),
     run=_run_supply_chain_scale,
     tolerances=(
-        Tolerance(metric="sc.rows", max_ratio=0.0),
-        Tolerance(metric="ifp.stages", max_ratio=0.0),
-        Tolerance(metric="datalog.rows_derived", max_ratio=0.0),
+        Tolerance(metric="sc.rows"),
+        Tolerance(metric="ifp.stages"),
+        Tolerance(metric="datalog.rows_derived"),
     ),
     agree=False,  # single lane; the checksums pin generator + closure
 ))

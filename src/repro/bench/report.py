@@ -7,12 +7,13 @@ Two jobs:
   and PASS/FAIL lines for every declared expectation, speedup gate, and
   cross-strategy agreement check.  Points that failed in a sharded run
   render as explicit FAILED lines — a partial report never looks clean.
-* :func:`diff_against_baseline` — the regression gate.  Deterministic
-  counters (rows derived, stages, delta rows — never wall seconds,
-  which do not compare across machines) are checked point-by-point
-  against a committed ``schema: 1`` baseline within each suite's
-  declared :class:`~repro.bench.registry.Tolerance`.  A baseline in
-  any other layout raises :class:`LegacyBaselineError`.
+* :func:`diff_against_baseline` — the regression gate, and the only
+  comparison with a committed document.  Each suite's declared
+  :class:`~repro.bench.registry.Tolerance` counters (rows derived,
+  stages, delta rows — never wall seconds, which do not compare across
+  machines) and each checksum must equal the ``schema: 1`` baseline's,
+  point by point.  A baseline in any other layout raises
+  :class:`LegacyBaselineError`.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _baseline_value(baseline: dict[str, Any], suite: Suite, n: int,
         if point.get("n") == n and point.get("strategy") == strategy:
             if point.get("failed"):
                 return None
-            if metric in ("seconds", "checksum"):
+            if metric == "checksum":
                 return point.get(metric)
             return point.get("counters", {}).get(metric)
     return None
@@ -137,12 +138,14 @@ def diff_against_baseline(
     baseline: dict[str, Any],
     suites: list[Suite],
 ) -> list[str]:
-    """Check each suite's declared tolerances against a ``schema: 1``
-    baseline document.
+    """Check each suite's declared tolerance counters, and each
+    checksum, against a ``schema: 1`` baseline document.
 
-    Returns breach descriptions (empty = within tolerance).  Points the
-    baseline does not cover (new sizes, new suites) are not breaches —
-    the baseline only ever *gates*, it does not have to be complete.
+    One rule: the value must equal the baseline's, so a counter that
+    rose or fell is a breach, and big-int counters compare exactly.
+    Returns breach descriptions (empty = clean).  Points the baseline
+    does not cover (new sizes, new suites) are not breaches — the
+    baseline only ever *gates*, it does not have to be complete.
     Failed points in either document are skipped (a degraded run is
     reported through the partial flag, not as a counter regression).
     """
@@ -160,30 +163,19 @@ def diff_against_baseline(
             if point.get("failed"):
                 continue
             n, strategy = point["n"], point["strategy"]
-            for tolerance in suite.tolerances:
-                base = _baseline_value(baseline, suite, n, strategy,
-                                       tolerance.metric)
+            for metric in (*(tolerance.metric
+                             for tolerance in suite.tolerances),
+                           "checksum"):
+                base = _baseline_value(baseline, suite, n, strategy, metric)
                 if base is None:
                     continue
-                new = point["counters"].get(tolerance.metric, 0)
-                if tolerance.max_ratio == 0.0:
-                    ok = new == base
-                else:
-                    ok = new <= base * (1.0 + tolerance.max_ratio)
-                if not ok:
+                new = (point["checksum"] if metric == "checksum"
+                       else point["counters"].get(metric, 0))
+                if new != base:
                     breaches.append(
-                        f"{name}: {tolerance.metric} at n={n} "
-                        f"({strategy}) regressed: {new} vs baseline "
-                        f"{base} (tolerance {tolerance.max_ratio:.0%})"
+                        f"{name}: {metric} at n={n} ({strategy}) changed: "
+                        f"{new} vs baseline {base}"
                     )
-            # Answer cardinality/checksum is exact.
-            base_rows = _baseline_value(baseline, suite, n, strategy,
-                                        "checksum")
-            if base_rows is not None and point["checksum"] != base_rows:
-                breaches.append(
-                    f"{name}: checksum at n={n} ({strategy}) changed: "
-                    f"{point['checksum']} vs baseline {base_rows}"
-                )
     return breaches
 
 

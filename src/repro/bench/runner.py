@@ -334,10 +334,14 @@ def run_suites(
     results merge in registry declaration order regardless of completion
     order, and a point that raises or times out degrades to a flagged
     failure entry instead of sinking the whole run (the document is then
-    marked ``"partial": True``).
+    marked ``"partial": True``).  ``jobs < 1`` and a ``point_timeout``
+    that is not ``> 0`` (zero, negative or NaN) raise :class:`BenchError`
+    before any point runs.
     """
     if jobs < 1:
         raise BenchError(f"jobs must be >= 1, got {jobs}")
+    if point_timeout is not None and not point_timeout > 0:
+        raise BenchError(f"--timeout must be > 0 seconds, got {point_timeout}")
     plan, skipped = _suite_plan(suites, strategy)
     documents: dict[str, Any] = {}
     if jobs == 1 and point_timeout is None:

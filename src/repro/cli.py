@@ -435,32 +435,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    """``repro bench --trend FILE...``: the cross-PR trajectory report."""
-    from .bench import TrendError, build_trend, load_documents, render_trend
-
-    try:
-        records = load_documents(args.trend)
-    except TrendError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    trend = build_trend(records, full=args.full)
-    if args.format == "json":
-        print(json.dumps(trend, indent=2))
-    else:
-        print(render_trend(trend))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(trend, handle, indent=2)
-            handle.write("\n")
-        print(f"-- wrote {args.json}", file=sys.stderr)
-    if trend["regressions"]:
-        for entry in trend["regressions"]:
-            print(f"FAIL: {entry}", file=sys.stderr)
-        return EXIT_FINDINGS
-    return EXIT_OK
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
         GROUPS,
@@ -474,12 +448,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_suites,
     )
 
-    if args.trend:
-        return _cmd_bench_trend(args)
-    if args.full:
-        print("error: --full only applies to --trend reports",
-              file=sys.stderr)
-        return EXIT_ERROR
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
@@ -935,27 +903,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-point timeout; a point exceeding it is marked failed "
              "and the run degrades to a flagged partial report")
     bench_cmd.add_argument("--json", metavar="FILE",
-                           help="write the observatory (or trend) "
-                                "document to FILE")
+                           help="write the observatory document to FILE")
     bench_cmd.add_argument("--baseline", metavar="FILE",
                            help="regress-gate counters against this "
                                 "schema-1 baseline document")
     bench_cmd.add_argument(
-        "--trend", nargs="+", metavar="FILE",
-        help="cross-PR trend mode: align these schema-1 BENCH_PR*.json "
-             "documents into per-suite trajectories with regression "
-             "flags")
-    bench_cmd.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="output format for the report or trend table")
+        help="output format for the report")
     bench_cmd.add_argument(
         "--memory", action="store_true",
         help="run each point under span-level memory attribution "
              "(records space.traced_peak; ~2x slower)")
-    bench_cmd.add_argument(
-        "--full", action="store_true",
-        help="with --trend: include every counter seen in the inputs "
-             "(not just the curated set) and add sparkline columns")
     _add_obs_flags(bench_cmd, stream=True)
     bench_cmd.set_defaults(func=_cmd_bench)
 

@@ -1003,7 +1003,6 @@ def compute_ranges(
     instance,
     schema=None,
     exempt_types: frozenset[Type] | set[Type] = frozenset(),
-    max_exempt_domain: int = 1_000_000,
 ) -> dict[str, list[Value]]:
     """Derive candidate value sets per variable for a RR query.
 
@@ -1018,8 +1017,7 @@ def compute_ranges(
     Raises :class:`RangeComputationError` if the analysis of
     Definition 5.2/5.3 rejects the query.
     """
-    return derive_ranges(query, instance, schema, exempt_types,
-                         max_exempt_domain)[0]
+    return derive_ranges(query, instance, schema, exempt_types)[0]
 
 
 def derive_ranges(
@@ -1027,7 +1025,6 @@ def derive_ranges(
     instance: Instance,
     schema: DatabaseSchema | None = None,
     exempt_types: frozenset[Type] | set[Type] = frozenset(),
-    max_exempt_domain: int = 1_000_000,
 ) -> tuple[dict[str, list[Value]], int]:
     """:func:`compute_ranges`'s ranges, and the fixpoint stages the
     derivation ran.  Rules 9 and 9' take one value per parameter binding
@@ -1055,7 +1052,7 @@ def derive_ranges(
     # membership witnesses in the exempt value) inherit from them.
     if exempt_types:
         from ..objects.domains import materialize_domain
-        from .evaluation import active_atoms
+        from .evaluation import DEFAULT_MAX_DOMAIN, active_atoms
         from .syntax import constants_of
 
         atoms = active_atoms(instance, constants_of(query.body))
@@ -1063,7 +1060,7 @@ def derive_ranges(
             if typ in exempt_types:
                 computer.add(
                     (name,),
-                    materialize_domain(typ, atoms, max_exempt_domain))
+                    materialize_domain(typ, atoms, DEFAULT_MAX_DOMAIN))
     computer.run(query.body)
     ranges = computer.variable_ranges()
     # Variables never seeded (possible only if analysis and flows

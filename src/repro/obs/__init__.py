@@ -64,7 +64,6 @@ from .render import (
     memory_table,
     metrics_table,
     render_tree,
-    sparkline,
     summary_table,
     titled_table,
     trace_from_json,
@@ -104,7 +103,6 @@ __all__ = [
     "summary_table",
     "metrics_table",
     "memory_table",
-    "sparkline",
     "titled_table",
     "trace_to_json",
     "trace_from_json",

@@ -35,7 +35,6 @@ __all__ = [
     "summary_table",
     "metrics_table",
     "memory_table",
-    "sparkline",
     "titled_table",
     "trace_to_json",
     "trace_from_json",
@@ -99,7 +98,7 @@ def align_table(rows: list[tuple[str, ...]]) -> list[str]:
     """Left-align rows of string cells into columns (two-space gutter).
 
     The generic alignment behind :func:`summary_table`,
-    :func:`metrics_table`, and the bench trend tables.  Rows may have
+    :func:`metrics_table` and the other tables here.  Rows may have
     differing lengths; each column is as wide as its widest cell, and
     trailing whitespace is stripped per line.
     """
@@ -193,34 +192,6 @@ def memory_table(tracer: Tracer) -> str:
         f"traced peak {format_bytes(report['traced_peak_bytes'])}; "
         f"{report['coverage']:.0%} attributed to named spans")
     return "\n".join(lines)
-
-
-#: Eight-level bar alphabet used by :func:`sparkline`.
-SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: list[float | int | None]) -> str:
-    """A unicode sparkline of a series; ``None`` holes render as ``·``.
-
-    Scaling is min-max over the present values (a flat series renders
-    mid-height bars), which is what the bench trend tables want: shape
-    at a glance, numbers in the adjacent columns.
-    """
-    present = [float(v) for v in values if v is not None]
-    if not present:
-        return ""
-    lo, hi = min(present), max(present)
-    span = hi - lo
-    bars: list[str] = []
-    for value in values:
-        if value is None:
-            bars.append("·")
-        elif span == 0:
-            bars.append(SPARK_LEVELS[3])
-        else:
-            index = int((float(value) - lo) / span * (len(SPARK_LEVELS) - 1))
-            bars.append(SPARK_LEVELS[index])
-    return "".join(bars)
 
 
 def _format_wall(seconds: Any) -> str:

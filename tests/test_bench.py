@@ -18,6 +18,7 @@ from repro.bench import (
     diff_against_baseline,
     document_failures,
     doubling_ratios,
+    failed_point,
     local_degrees,
     loglog_fit,
     resolve_suites,
@@ -28,6 +29,11 @@ from repro.bench import (
 from repro.cli import main
 
 SIZES = [4, 8, 16, 32, 64]
+
+#: ``closure_rows`` per chain length in the flat ``datalog`` section of
+#: ``BENCH_PR3.json`` before its conversion: the checksums its
+#: ``seminaive-smoke`` points carry.
+FLAT_CLOSURE_ROWS = {8: 28, 16: 120, 32: 496, 64: 2016}
 
 
 class TestLogLogFit:
@@ -112,7 +118,7 @@ TOY = Suite(
     sizes=(4, 8, 16),
     strategies=("naive", "seminaive"),
     run=_run_counting,
-    tolerances=(Tolerance(metric="toy.rows", max_ratio=0.0),),
+    tolerances=(Tolerance(metric="toy.rows"),),
 )
 
 
@@ -133,6 +139,22 @@ class TestRunSuite:
     def test_undeclared_strategy_raises(self):
         with pytest.raises(BenchError):
             run_suite(TOY, strategies=("magic",))
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_timeout_not_above_zero_raises(self, timeout):
+        """A ``point_timeout`` that is not > 0 is refused before any
+        point runs, as ``jobs < 1`` is."""
+        calls = []
+
+        def run(n: int, strategy: str) -> dict:
+            calls.append(n)
+            return {"checksum": n}
+
+        suite = Suite(name="watched", title="t", sizes=(4,),
+                      strategies=("seminaive",), run=run)
+        with pytest.raises(BenchError, match="--timeout must be > 0"):
+            run_suites([suite], point_timeout=timeout)
+        assert calls == []
 
     def test_run_suites_skips_suites_without_the_strategy(self):
         single = Suite(name="single", title="t", sizes=(4, 8),
@@ -173,6 +195,39 @@ class TestBaselineDiff:
         assert len(breaches) == 1
         assert "toy.rows" in breaches[0]
 
+    def test_modern_baseline_counter_drop_is_a_breach(self):
+        """Equality both ways: a counter below its baseline breaches as
+        one above it does."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        point = baseline["suites"]["toy"]["points"][0]
+        point["counters"]["toy.rows"] += 1
+        breaches = diff_against_baseline(document, baseline, [TOY])
+        assert len(breaches) == 1
+        assert "toy.rows" in breaches[0]
+
+    def test_big_int_counter_compares_exactly(self):
+        """``2**72 + 1`` against ``2**72`` is a breach, though the two
+        are equal as floats."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        document["suites"]["toy"]["points"][0]["counters"]["toy.rows"] = (
+            2**72 + 1)
+        baseline["suites"]["toy"]["points"][0]["counters"]["toy.rows"] = (
+            2**72)
+        breaches = diff_against_baseline(document, baseline, [TOY])
+        assert len(breaches) == 1
+        assert str(2**72 + 1) in breaches[0]
+
+    def test_wall_seconds_never_breach(self):
+        """Wall time does not compare across machines: a baseline whose
+        every point ran 100x faster is clean."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        for point in baseline["suites"]["toy"]["points"]:
+            point["seconds"] /= 100
+        assert diff_against_baseline(document, baseline, [TOY]) == []
+
     def test_modern_baseline_checksum_change_is_a_breach(self):
         document = run_suites([TOY])
         baseline = json.loads(json.dumps(document))
@@ -183,6 +238,71 @@ class TestBaselineDiff:
     def test_uncovered_points_are_not_breaches(self):
         document = run_suites([TOY])
         assert diff_against_baseline(document, {"suites": {}}, [TOY]) == []
+
+    def test_new_sizes_are_not_breaches_but_covered_ones_gate(self):
+        """A baseline that covers only n=4 gates n=4 and ignores the
+        sizes it predates."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        toy = baseline["suites"]["toy"]
+        toy["points"] = [point for point in toy["points"]
+                         if point["n"] == 4]
+        assert diff_against_baseline(document, baseline, [TOY]) == []
+        toy["points"][0]["counters"]["toy.rows"] = 15
+        breaches = diff_against_baseline(document, baseline, [TOY])
+        assert len(breaches) == 1
+        assert "n=4" in breaches[0]
+
+    def test_breach_names_suite_metric_point_and_both_values(self):
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        baseline["suites"]["toy"]["points"][0]["counters"]["toy.rows"] = 15
+        assert diff_against_baseline(document, baseline, [TOY]) == [
+            "toy: toy.rows at n=4 (naive) changed: 16 vs baseline 15"]
+
+    def test_every_changed_point_is_its_own_breach(self):
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        for point in baseline["suites"]["toy"]["points"]:
+            point["counters"]["toy.rows"] += 1
+        breaches = diff_against_baseline(document, baseline, [TOY])
+        assert len(breaches) == len(document["suites"]["toy"]["points"])
+        assert all("toy.rows" in breach for breach in breaches)
+
+    def test_counter_missing_from_the_run_reads_zero(self):
+        """A gated counter the new run no longer records fell to 0."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        del document["suites"]["toy"]["points"][0]["counters"]["toy.rows"]
+        assert diff_against_baseline(document, baseline, [TOY]) == [
+            "toy: toy.rows at n=4 (naive) changed: 0 vs baseline 16"]
+
+    def test_ungated_counter_change_is_not_a_breach(self):
+        """Only the suite's declared tolerance counters (and the
+        checksum) gate; other counters are informational."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        document["suites"]["toy"]["points"][0]["counters"]["toy.other"] = 1
+        baseline["suites"]["toy"]["points"][0]["counters"]["toy.other"] = 2
+        assert diff_against_baseline(document, baseline, [TOY]) == []
+
+    def test_suites_not_passed_are_not_gated(self):
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        baseline["suites"]["toy"]["points"][0]["checksum"] = 99
+        assert diff_against_baseline(document, baseline, []) == []
+
+    @pytest.mark.parametrize("side", ["document", "baseline"])
+    def test_failed_points_are_skipped(self, side):
+        """A failed point on either side is reported through the
+        partial flag, not as a counter or checksum breach."""
+        document = run_suites([TOY])
+        baseline = json.loads(json.dumps(document))
+        target = document if side == "document" else baseline
+        point = target["suites"]["toy"]["points"][0]
+        target["suites"]["toy"]["points"][0] = failed_point(
+            point["n"], point["strategy"], "worker killed")
+        assert diff_against_baseline(document, baseline, [TOY]) == []
 
     def test_legacy_flat_baseline_is_retired(self):
         """The pre-schema-1 flat layout does not gate: the diff raises,
@@ -201,6 +321,39 @@ class TestBaselineDiff:
         suite = SUITES["seminaive-smoke"]
         document = run_suites([suite], sizes=(8, 16))
         assert diff_against_baseline(document, baseline, [suite]) == []
+
+    def test_committed_pr18_baseline_gates_the_smoke_suite(self):
+        """``BENCH_PR18.json``, the document CI gates against, covers
+        the smoke suite's sizes and holds its counters exactly."""
+        with open("BENCH_PR18.json", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        suite = SUITES["seminaive-smoke"]
+        document = run_suites([suite], sizes=(8, 16))
+        assert diff_against_baseline(document, baseline, [suite]) == []
+        baseline["suites"]["seminaive-smoke"]["points"][0]["counters"][
+            "datalog.rows_derived"] += 1
+        breaches = diff_against_baseline(document, baseline, [suite])
+        assert len(breaches) == 1
+        assert "datalog.rows_derived at n=8" in breaches[0]
+
+    def test_committed_pr3_converts_with_mapped_counters(self):
+        """``BENCH_PR3.json``, rewritten once from the retired flat
+        layout into schema 1."""
+        with open("BENCH_PR3.json", encoding="utf-8") as handle:
+            converted = json.load(handle)
+        assert converted["schema"] == 1
+        assert converted["converted_from"] == "legacy-pr3-flat"
+        assert sorted(converted["suites"]) == [
+            "algebra-loop", "calc-ifp-dense", "seminaive-smoke"]
+        smoke = converted["suites"]["seminaive-smoke"]
+        assert smoke["strategies"] == ["naive", "seminaive"]
+        # The flat per-strategy fields became observatory counter names,
+        # closure_rows became the checksum.
+        for point in smoke["points"]:
+            assert "datalog.rows_derived" in point["counters"]
+            assert point["checksum"] == FLAT_CLOSURE_ROWS[point["n"]]
+        assert {point["n"] for point in smoke["points"]} \
+            == set(FLAT_CLOSURE_ROWS)
 
 
 class TestDocumentFailures:

@@ -253,9 +253,18 @@ class TestBenchCommand:
         assert code == EXIT_ERROR
         assert "--jobs" in capsys.readouterr().err
 
-    def test_missing_trend_file_is_an_error(self, tmp_path, capsys):
-        code = main(["bench", "--trend", str(tmp_path / "absent.json")])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_bad_timeout_is_an_error(self, timeout, capsys):
+        """A timeout that is not > 0 is rejected before any worker
+        starts: one error line, no point reported."""
+        code = main(["bench", "--suite", "seminaive-smoke",
+                     "--timeout", timeout])
         assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: --timeout")
 
     def test_legacy_baseline_is_an_error(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"
@@ -267,20 +276,62 @@ class TestBenchCommand:
         assert code == EXIT_ERROR
         assert "schema-1" in capsys.readouterr().err
 
+    def test_missing_baseline_file_is_an_error(self, tmp_path, capsys):
+        code = main(["bench", "--suite", "seminaive-smoke",
+                     "--sizes", "8,16",
+                     "--baseline", str(tmp_path / "absent.json")])
+        assert code == EXIT_ERROR
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_non_json_baseline_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        code = main(["bench", "--suite", "seminaive-smoke",
+                     "--sizes", "8,16", "--baseline", str(bad)])
+        assert code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_baseline_breach_sets_findings_exit_code(self, tmp_path,
+                                                      capsys):
+        """A run gated against its own output is clean; against a copy
+        with one counter changed it exits 1, and the breach is both a
+        ``FAIL:`` line and part of the written document."""
+        argv = ["bench", "--suite", "seminaive-smoke", "--sizes", "8,16"]
+        own = tmp_path / "own.json"
+        assert main([*argv, "--json", str(own)]) == EXIT_OK
+        assert main([*argv, "--baseline", str(own)]) == EXIT_OK
+        baseline = json.loads(own.read_text())
+        baseline["suites"]["seminaive-smoke"]["points"][0]["counters"][
+            "datalog.rows_derived"] += 1
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(baseline))
+        gated = tmp_path / "gated.json"
+        capsys.readouterr()
+        code = main([*argv, "--baseline", str(changed),
+                     "--json", str(gated)])
+        assert code == EXIT_FINDINGS
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL:")]
+        assert len(fails) == 1
+        assert "datalog.rows_derived at n=8" in fails[0]
+        recorded = json.loads(gated.read_text())["baseline"]
+        assert recorded["path"] == str(changed)
+        assert recorded["breaches"] == [fails[0][len("FAIL: "):]]
+
     @pytest.mark.parametrize("argv", [
         ["bench", "--trend", "BENCH_PR3.json", "--migrate"],
         ["bench", "--suite", "seminaive-smoke", "--tracemalloc"],
-    ], ids=["migrate", "tracemalloc"])
+        ["bench", "--trend", "BENCH_PR3.json"],
+        ["bench", "--full"],
+    ], ids=["migrate", "tracemalloc", "trend", "full"])
     def test_removed_flags_are_errors(self, argv, capsys):
         """``--migrate`` went with the flat layout; ``--memory`` records
-        the traced peak ``--tracemalloc`` did."""
+        the traced peak ``--tracemalloc`` did; ``--trend`` and its
+        ``--full`` went with the cross-PR trend report, whose check
+        ``--baseline`` makes."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == EXIT_ERROR
-
-    def test_full_without_trend_is_an_error(self, capsys):
-        assert main(["bench", "--full"]) == EXIT_ERROR
-        assert "--trend" in capsys.readouterr().err
 
 
 class TestProfileCommand:
