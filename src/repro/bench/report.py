@@ -133,6 +133,15 @@ def _baseline_value(baseline: dict[str, Any], suite: Suite, n: int,
     return None
 
 
+def check_baseline(baseline: Any) -> None:
+    """Raise :class:`LegacyBaselineError` unless ``baseline`` is a
+    ``schema: 1`` observatory document."""
+    if not isinstance(baseline, dict) or "suites" not in baseline:
+        raise LegacyBaselineError(
+            "baseline is not a schema-1 observatory document "
+            "(no 'suites' object)")
+
+
 def diff_against_baseline(
     document: dict[str, Any],
     baseline: dict[str, Any],
@@ -149,10 +158,7 @@ def diff_against_baseline(
     Failed points in either document are skipped (a degraded run is
     reported through the partial flag, not as a counter regression).
     """
-    if "suites" not in baseline:
-        raise LegacyBaselineError(
-            "baseline is not a schema-1 observatory document "
-            "(no 'suites' object)")
+    check_baseline(baseline)
     breaches: list[str] = []
     by_name = {suite.name: suite for suite in suites}
     for name, suite_doc in document.get("suites", {}).items():

@@ -432,6 +432,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad --sizes {text!r}; expected e.g. 8,16,32") from None
     if not sizes:
         raise ValueError("--sizes needs at least one size")
+    if min(sizes) < 1:
+        raise ValueError(f"bad --sizes {text!r}; every size must be >= 1")
     return sizes
 
 
@@ -447,6 +449,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         resolve_suites,
         run_suites,
     )
+    from .bench.report import check_baseline
 
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}",
@@ -466,6 +469,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return EXIT_ERROR
     sizes = _parse_sizes(args.sizes) if args.sizes else None
+    baseline = None
+    if args.baseline:
+        # Read and checked before any point runs.
+        with open(args.baseline, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        try:
+            check_baseline(baseline)
+        except LegacyBaselineError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return EXIT_ERROR
     _record(suites=sorted(suite.name for suite in suites), jobs=args.jobs,
             strategy=args.strategy)
     try:
@@ -480,14 +493,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _record(outcome="error", error=str(error))
         return EXIT_ERROR
     failures = document_failures(document)
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        try:
-            breaches = diff_against_baseline(document, baseline, suites)
-        except LegacyBaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_ERROR
+    if baseline is not None:
+        breaches = diff_against_baseline(document, baseline, suites)
         document["baseline"] = {"path": args.baseline, "breaches": breaches}
         failures.extend(breaches)
     if args.format == "json":

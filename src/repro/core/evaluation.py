@@ -702,6 +702,9 @@ class _Context:
         #: Cache of fixpoint results keyed by (fixpoint, parameter values,
         #: rows of the enclosing relations the body references).
         self.fixpoint_cache: dict[tuple, frozenset[tuple[Value, ...]]] = {}
+        #: Interned kernel: each fixpoint result a term evaluated to, by
+        #: ``id``, with its set's id, so a cache hit interns nothing.
+        self.term_sets: dict[int, tuple[frozenset, int]] = {}
         #: Per fixpoint representative (by ``id``), its lifted run, or
         #: ``None`` when it is evaluated per binding.
         self.lifted: dict[int, _Lifted | None] = {}
@@ -1096,10 +1099,14 @@ class Evaluator:
         if isinstance(term, FixpointTerm):
             rows = self._fixpoint_rows(term.fixpoint, env, ctx)
             if ctx.store is not None:
-                if term.fixpoint.arity == 1:
-                    return ctx.store.intern_set(row[0] for row in rows)
-                return ctx.store.intern_set(ctx.store.intern_tuple(row)
-                                            for row in rows)
+                entry = ctx.term_sets.get(id(rows))
+                if entry is None or entry[0] is not rows:
+                    members = ((row[0] for row in rows)
+                               if term.fixpoint.arity == 1
+                               else map(ctx.store.intern_tuple, rows))
+                    entry = ctx.term_sets[id(rows)] = (
+                        rows, ctx.store.intern_set(members))
+                return entry[1]
             if term.fixpoint.arity == 1:
                 return CSet(row[0] for row in rows)
             return CSet(CTuple(row) for row in rows)

@@ -27,7 +27,8 @@ count) is the naive one's.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Iterator, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, FrozenSet, Iterable, Iterator, Tuple
 
 from ..obs import NullTracer, Tracer, get_tracer
 
@@ -203,11 +204,12 @@ def pfp_stages(stage: StageFn, max_stages: int | None = None) -> Iterator[Rows]:
 class IndexPool:
     """Lazy hash indexes over row sets, keyed on bound positions.
 
-    ``probe(source_key, rows, positions, key)`` returns the rows whose
-    projection onto ``positions`` equals ``key``, building the index
-    ``{projection: [rows]}`` for ``(source_key, positions)`` on first
-    use.  An index describes the row collection it was built from, so a
-    pool must never outlive the row sets its ``source_key``s name unless
+    ``probe(source_key, rows, positions, count)`` returns the index
+    ``{projection: [rows]}`` of ``rows`` on ``positions`` for a batch of
+    ``count`` lookups, building it for ``(source_key, positions)`` on
+    first use; a one-position index files each row under the bare id.
+    An index describes the row collection it was built from, so a pool
+    must never outlive the row sets its ``source_key``s name unless
     every change to them is reported:
 
     * a row set that only *grows* keeps its indexes when each batch of
@@ -227,14 +229,13 @@ class IndexPool:
     The first lookup of an index in a pool bumps the
     ``eval.index_builds`` counter, whether the pool builds the index or
     takes it from ``built``, so the counter is the number of distinct
-    indexes an evaluation probes, whatever ran before it.  Every lookup
-    bumps ``eval.index_probes``.  Together they make the scan-vs-probe
-    tradeoff visible to the bench observatory.
+    indexes an evaluation probes, whatever ran before it.  Each batch
+    adds its ``count`` to ``eval.index_probes``, one per binding looked
+    up.  Together they make the scan-vs-probe tradeoff visible to the
+    bench observatory.
     """
 
     __slots__ = ("_indexes", "_built", "_tracer")
-
-    _EMPTY: Tuple = ()
 
     def __init__(self, tracer: Tracer | NullTracer | None = None,
                  built: dict[tuple, dict] | None = None):
@@ -247,9 +248,9 @@ class IndexPool:
         source_key: str,
         rows: Iterable[Row],
         positions: Tuple[int, ...],
-        key: Tuple,
-    ) -> Sequence[Row]:
-        """Rows of ``rows`` matching ``key`` on ``positions``.
+        count: int,
+    ) -> dict:
+        """The index of ``rows`` on ``positions``, for ``count`` lookups.
 
         ``rows`` must be the same collection on every probe for a given
         ``source_key`` (the index is built from the first one seen).
@@ -266,8 +267,8 @@ class IndexPool:
             if self._tracer.enabled:
                 self._tracer.count("eval.index_builds")
         if self._tracer.enabled:
-            self._tracer.count("eval.index_probes")
-        return index.get(key, self._EMPTY)
+            self._tracer.count("eval.index_probes", count)
+        return index
 
     def append(self, source_key: str, rows: Iterable[Row]) -> None:
         """Add ``rows``, just added to the collection named
@@ -280,9 +281,11 @@ class IndexPool:
 
 def _add_rows(index: dict, rows: Iterable[Row],
               positions: Tuple[int, ...]) -> None:
-    """File each row under its projection onto ``positions``."""
+    """File each row under its projection onto ``positions``: the id
+    itself at one position, the tuple of ids at several."""
+    project = itemgetter(*positions)
     for row in rows:
-        projection = tuple(row[p] for p in positions)
+        projection = project(row)
         bucket = index.get(projection)
         if bucket is None:
             index[projection] = [row]

@@ -45,12 +45,17 @@ The strategy alone picks the engine:
 a join plan once per stage (:func:`repro.datalog.joins.plan`, shared with
 the calculus engine): filters first, then generators, then the positive
 relation literal with the most bound positions, ties to the ``Δ::``
-literal and then the smaller row set at this stage.  Every greedy order
-consumes the same maximal set of literals as the oracle's text order, so
-the "unsafe rule" error fires exactly when the oracle's does.  Value
-errors (``in`` or ``sub`` on a non-set) are raised where a binding meets
-them, so one can surface on a program whose text-order join stops at an
-empty literal before reaching the offending one.
+literal and then the smaller row set at this stage.  A plan runs each
+step once per batch of bindings: a probe looks its index up once per
+batch and counts one ``eval.index_probes`` per binding, and the plan
+stops at its first empty batch, so an index is built and probed only
+when some binding reaches it.  Every greedy order consumes the same
+maximal set of literals as the oracle's text order, so the "unsafe rule"
+error fires exactly when the oracle's does.  Value errors (``in`` or
+``sub`` on a non-set) are raised where a binding meets them, so one can
+surface on a program whose text-order join stops at an empty literal
+before reaching the offending one; when the bindings of a batch would
+meet two, the one met at the earlier step is raised.
 
 The semi-naive engine reads the instance's shared interned encoding
 (:mod:`repro.objects.intern`) through a per-evaluation

@@ -238,6 +238,17 @@ class TestLintProgramCommand:
         assert "-- adorned program (query T(x, y)) --" in out
 
 
+def _no_suite_runs(monkeypatch) -> None:
+    """Make running any bench suite fail the test: the usage errors
+    below must be reported before the first point runs."""
+    import repro.bench
+
+    def run_suites(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(repro.bench, "run_suites", run_suites)
+
+
 class TestBenchCommand:
     def test_unknown_suite_exits_2_and_lists_available_suites(self, capsys):
         assert main(["bench", "--suite", "nope"]) == EXIT_ERROR
@@ -266,7 +277,23 @@ class TestBenchCommand:
         assert len(errors) == 1
         assert errors[0].startswith("error: --timeout")
 
-    def test_legacy_baseline_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sizes", ["-3", "0", "8,0"])
+    def test_size_below_one_is_an_error(self, sizes, monkeypatch, capsys):
+        """A size below 1 is a usage error, caught before any point
+        runs: one error line naming --sizes, no point reported."""
+        _no_suite_runs(monkeypatch)
+        code = main(["bench", "--suite", "seminaive-smoke",
+                     f"--sizes={sizes}"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: ") and "--sizes" in errors[0]
+
+    def test_legacy_baseline_is_an_error(self, tmp_path, monkeypatch,
+                                         capsys):
+        _no_suite_runs(monkeypatch)
         flat = tmp_path / "flat.json"
         flat.write_text(json.dumps(
             {"datalog": [{"n": 8, "closure_rows": 28,
@@ -276,14 +303,18 @@ class TestBenchCommand:
         assert code == EXIT_ERROR
         assert "schema-1" in capsys.readouterr().err
 
-    def test_missing_baseline_file_is_an_error(self, tmp_path, capsys):
+    def test_missing_baseline_file_is_an_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        _no_suite_runs(monkeypatch)
         code = main(["bench", "--suite", "seminaive-smoke",
                      "--sizes", "8,16",
                      "--baseline", str(tmp_path / "absent.json")])
         assert code == EXIT_ERROR
         assert "absent.json" in capsys.readouterr().err
 
-    def test_non_json_baseline_is_an_error(self, tmp_path, capsys):
+    def test_non_json_baseline_is_an_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        _no_suite_runs(monkeypatch)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         code = main(["bench", "--suite", "seminaive-smoke",

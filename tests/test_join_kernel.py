@@ -10,12 +10,15 @@ the work it saves; answers and stage totals stay the oracle's.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
-from repro.core.builder import V, exists, forall, ifp, rel
+from repro.core.builder import V, exists, forall, ifp, member, rel
 from repro.core.builder import query as build_query
 from repro.core.evaluation import MAX_DISJUNCTS, _split, evaluate
 from repro.core.fixpoint import PFPDivergenceError
+from repro.objects import database_schema, instance
 from repro.obs import Tracer, use_tracer
 from repro.workloads import chain_graph, cycle_graph, transitive_closure_query
 
@@ -155,3 +158,34 @@ class TestSplitCap:
         q = build_query([x, y], body)
         assert len(_split(q.body, (x, y), None).disjuncts) == MAX_DISJUNCTS
         _assert_agree(q, cycle_graph(4))
+
+
+class TestWalkedProductStreams:
+    def test_a_walked_product_is_never_held_whole(self):
+        """``{[x,u,v,y,z] | A(x) ∧ B(u) ∧ C(v) ∧ x,u,v ∈ y ∧ x,u,v ∈ z}``
+        over 9 atoms: no join binds y or z, so the plan scans their
+        walked candidate product, 512² = 262,144 rows, for 4,096
+        answers.  The scan draws the product in bounded chunks, each run
+        through the membership checks before the next, so the traced
+        peak stays far below the product's size."""
+        u, v = V("u", "U"), V("v", "U")
+        sets = V("y", "{U}"), V("z", "{U}")
+        inst = instance(database_schema(A=["U"], B=["U"], C=["U"],
+                                        D=["U"]),
+                        A=[("a0",)], B=[("a1",)], C=[("a2",)],
+                        D=[(f"a{i}",) for i in range(9)])
+        body = rel("A")(x) & rel("B")(u) & rel("C")(v)
+        for container in sets:
+            for element in (x, u, v):
+                body = body & member(element, container)
+        q = build_query([x, u, v, *sets], body)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            answer = evaluate(q, inst, max_product=10**10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(answer) == 4096
+        assert peak < 10 * 2**20

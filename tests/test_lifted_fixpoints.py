@@ -48,8 +48,10 @@ from repro.objects import (
 )
 from repro.objects.domains import DomainTooLarge
 from repro.obs import Tracer, use_tracer
+from repro.objects.intern import ValueStore
 from repro.workloads import (
     GOLDEN_SEED,
+    answer_question,
     question_by_name,
     supply_chain_instance,
 )
@@ -315,6 +317,29 @@ class TestWhereTheLiftRuns:
         assert len(runs) == 3
         assert all(beat_count == stage_count > 0
                    for beat_count, stage_count in runs)
+
+    def test_a_term_set_is_interned_once_per_result(self, monkeypatch):
+        """A warm calc-order-nest answer checks ``s = T(c)`` for every
+        candidate pair, 90 of them fixpoint cache hits: each result's
+        set is interned once, with the result, not once per check."""
+        question = question_by_name("calc-order-nest")
+        inst = supply_chain_instance(1, GOLDEN_SEED)
+        cold = answer_question(question, inst)
+        calls: list[None] = []
+        intern_set = ValueStore.intern_set
+
+        def counting(self, member_ids):
+            calls.append(None)
+            return intern_set(self, member_ids)
+
+        monkeypatch.setattr(ValueStore, "intern_set", counting)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            warm = answer_question(question, inst)
+        assert (warm.rows, warm.checksum, warm.stages) == (
+            cold.rows, cold.checksum, cold.stages)
+        assert tracer.counters["eval.fixpoint_cache_hits"] == 90
+        assert len(calls) <= 30
 
     def test_a_binding_with_no_rows_gets_the_empty_set(self, monkeypatch):
         """x = c reaches nothing through G(x, y) ∧ ¬G(y, x)."""

@@ -80,6 +80,26 @@ class TestDatalogDerivationCounts:
         assert counters["eval.index_builds"] == 1
         assert counters["eval.index_probes"] == _closure_size(64) == 2016
 
+    def test_a_join_that_matches_nothing_builds_no_index(self):
+        """``T(x, y) :- E(x), G(x, y)`` with E empty: the plan scans E
+        first (the smaller row set), and its empty batch ends the plan
+        before G's index is built or probed."""
+        from repro.objects import database_schema, instance
+
+        inst = instance(database_schema(G=["U", "U"], E=["U"]),
+                        G=[("a", "b"), ("b", "c")], E=[])
+        program = Program(
+            [Rule(Literal("T", ["x", "y"]),
+                  [Literal("E", ["x"]), Literal("G", ["x", "y"])])],
+            idb_types={"T": ["U", "U"]},
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = evaluate_inflationary(program, inst)
+        assert result["T"] == frozenset()
+        assert "eval.index_builds" not in tracer.counters
+        assert "eval.index_probes" not in tracer.counters
+
     def test_probe_count_scales_with_closure_not_product(self):
         small = _datalog_counters(16)
         large = _datalog_counters(32)
