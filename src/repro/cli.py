@@ -114,7 +114,7 @@ from .obs import (
     use_tracer,
 )
 from .objects.encoding import encode_instance
-from .objects.io import instance_from_json, instance_to_json
+from .objects.io import SerializationError, instance_to_json, load_instance
 from .objects.schema import SchemaError
 from .objects.types import parse_type
 from .objects.values import CTuple
@@ -217,11 +217,6 @@ def _maybe_watchdog(args: argparse.Namespace, tracer):
         yield dog
 
 
-def _load_instance(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return instance_from_json(json.load(handle))
-
-
 def _format_row(row: CTuple) -> str:
     return str(row)
 
@@ -235,7 +230,7 @@ def _run_query(args: argparse.Namespace, tracer) -> tuple[frozenset, str]:
     path was skipped.
     """
     with tracer.span("load_instance"):
-        inst = _load_instance(args.instance)
+        inst = load_instance(args.instance)
     with tracer.span("parse_query"):
         query = parse_query(args.query)
     strategy = getattr(args, "strategy", "seminaive")
@@ -515,7 +510,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = load_instance(args.instance)
     query = parse_query(args.query)
     report = check_query(query, inst.schema)
     i, k = report.level
@@ -622,7 +617,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("error: lint needs an instance file and at least one query "
               "(or --explain CODE)", file=sys.stderr)
         return EXIT_ERROR
-    inst = _load_instance(args.instance)
+    inst = load_instance(args.instance)
     _record(instance_checksum=instance_checksum(inst))
     exempt = frozenset(parse_type(text) for text in args.exempt or ())
     fail_on = _parse_severity(args.fail_on)
@@ -655,13 +650,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = load_instance(args.instance)
     print(encode_instance(inst))
     return EXIT_OK
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = load_instance(args.instance)
     stats = instance_stats(inst)
     log_dom = log2_dom_ik(args.i, args.k, stats.n_atoms)
     print(f"|I| = {stats.cardinality}, ||I|| = {stats.size}, "
@@ -1067,8 +1062,8 @@ def main(argv: list[str] | None = None) -> int:
         outcome, error_text = "divergence", str(error)
         print(f"error: pfp diverged: {error}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ParseError, TypeCheckError,
-            SchemaError, ExportError, ValueError) as error:
+    except (OSError, json.JSONDecodeError, SerializationError, ParseError,
+            TypeCheckError, SchemaError, ExportError, ValueError) as error:
         # Load/usage failures, per the exit-code convention.
         outcome, error_text = "error", str(error)
         print(f"error: {error}", file=sys.stderr)

@@ -41,6 +41,16 @@ class Relation:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "tuples", frozenset(converted))
 
+    @classmethod
+    def _trusted(cls, schema: RelationSchema,
+                 tuples: frozenset[CTuple]) -> "Relation":
+        """A relation of ``tuples`` built without typechecking them, for
+        decoders that have already checked each row against ``schema``."""
+        relation = object.__new__(cls)
+        object.__setattr__(relation, "schema", schema)
+        object.__setattr__(relation, "tuples", tuples)
+        return relation
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Relation is immutable")
 
@@ -140,6 +150,17 @@ class Instance:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_relations", relations)
         object.__setattr__(self, "_encoding", None)
+
+    @classmethod
+    def _trusted(cls, schema: DatabaseSchema,
+                 relations: dict[str, Relation]) -> "Instance":
+        """An instance of already-checked ``relations``: one per relation
+        of ``schema``, in its declaration order."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "schema", schema)
+        object.__setattr__(inst, "_relations", relations)
+        object.__setattr__(inst, "_encoding", None)
+        return inst
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Instance is immutable")

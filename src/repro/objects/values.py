@@ -120,6 +120,14 @@ class CTuple(Value):
                 raise ValueError_(f"tuple component must be a Value, got {item!r}")
         object.__setattr__(self, "items", items)
 
+    @classmethod
+    def _trusted(cls, items: tuple[Value, ...]) -> "CTuple":
+        """A tuple of ``items`` built without validation, for decoders
+        that have already checked them (a non-empty tuple of Values)."""
+        value = object.__new__(cls)
+        _set_items(value, items)
+        return value
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CTuple is immutable")
 
@@ -189,6 +197,14 @@ class CSet(Value):
                 raise ValueError_(f"set element must be a Value, got {element!r}")
         object.__setattr__(self, "elements", elements)
 
+    @classmethod
+    def _trusted(cls, elements: frozenset[Value]) -> "CSet":
+        """A set of ``elements`` built without validation, for decoders
+        that have already checked them (a frozenset of Values)."""
+        value = object.__new__(cls)
+        _set_elements(value, elements)
+        return value
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CSet is immutable")
 
@@ -255,6 +271,12 @@ class CSet(Value):
     def __str__(self) -> str:
         inner = ", ".join(sorted(str(e) for e in self.elements))
         return "{" + inner + "}"
+
+
+# The slot setters of the trusted constructors: they bypass the
+# ``__setattr__`` that keeps values immutable.
+_set_items = CTuple.__dict__["items"].__set__
+_set_elements = CSet.__dict__["elements"].__set__
 
 
 def atoms_of(values: Iterable[Value]) -> frozenset[Atom]:

@@ -550,3 +550,101 @@ class TestQueryTextRejectedByTheAst:
         errors = [line for line in run.stdout.splitlines()
                   if line.startswith("error")]
         assert errors == [f"error[PAR001] {message}"]
+
+
+_GRAPH_SCHEMA = {"relations": [{"name": "G", "columns": ["{U}", "{U}"]}]}
+_A, _B = {"s": [{"a": "a"}]}, {"s": [{"a": "b"}]}
+#: A set type nested deeper than the type parser can recurse.
+_TOO_DEEP = "{" * 1000 + "U" + "}" * 1000
+
+#: Documents that parse as JSON but are not instances, each with the
+#: JSON path of its bad node.
+MALFORMED_INSTANCES = [
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": []}, "data",
+                 id="data-a-list"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": {"G": 3}}, "data.G",
+                 id="rows-not-a-list"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": {"G": {}}}, "data.G",
+                 id="rows-an-empty-object"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": {"G": [[_A, _B], 3]}},
+                 "data.G[1]", id="row-not-a-list"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": {"G": [[_A, _B, _A]]}},
+                 "data.G[0]", id="row-of-wrong-arity"),
+    pytest.param({"schema": _GRAPH_SCHEMA,
+                  "data": {"G": [[_A, {"a": "b"}]]}},
+                 "data.G[0][1]", id="value-of-wrong-type"),
+    pytest.param({"schema": _GRAPH_SCHEMA,
+                  "data": {"G": [[_A, {"s": [{"a": "b"}, _B]}]]}},
+                 "data.G[0][1].s[1]", id="heterogeneous-set"),
+    pytest.param({"schema": {"relations": [{"name": "G",
+                                            "columns": ["{Q}"]}]},
+                  "data": {}},
+                 "schema.relations[0].columns[0]", id="bad-column-type"),
+    pytest.param({"schema": {"relations": [{"name": "G", "columns": 3}]},
+                  "data": {}},
+                 "schema.relations[0].columns", id="columns-a-number"),
+    pytest.param({"schema": {"relations": [{"name": "G", "columns": "U"}]},
+                  "data": {}},
+                 "schema.relations[0].columns", id="columns-a-string"),
+    pytest.param({"schema": _GRAPH_SCHEMA,
+                  "data": {"G": [[{"s": [{"a": 1.5}]}, _B]]}},
+                 "data.G[0][0].s[0]", id="float-atom-label"),
+    pytest.param({"schema": _GRAPH_SCHEMA,
+                  "data": {"G": [[_A, {"s": [{"a": ["b"]}]}]]}},
+                 "data.G[0][1].s[0]", id="list-atom-label"),
+    pytest.param([_GRAPH_SCHEMA], "instance document", id="top-level-list"),
+    pytest.param({"schema": {"relations": 3}, "data": {}},
+                 "schema.relations", id="relations-not-a-list"),
+    pytest.param({"schema": {"relations": [{"name": "G",
+                                            "columns": [_TOO_DEEP]}]},
+                  "data": {}},
+                 "schema.relations[0].columns[0]",
+                 id="column-type-nested-too-deeply"),
+]
+
+#: One argument list per command that loads an instance, ``{}`` standing
+#: for the instance file.
+LOADING_COMMANDS = [
+    pytest.param(["query", "{}", SAFE], id="query"),
+    pytest.param(["density", "{}"], id="density"),
+    pytest.param(["lint", "{}", SAFE], id="lint"),
+]
+
+
+class TestMalformedInstance:
+    """A malformed instance document is a load error: exit 2 and one
+    ``error:`` line naming the JSON path of the bad node."""
+
+    @pytest.mark.parametrize("argv", LOADING_COMMANDS)
+    @pytest.mark.parametrize("document,path", MALFORMED_INSTANCES)
+    def test_exits_2_naming_the_path(self, tmp_path, argv, document, path,
+                                     capsys):
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(document))
+        code = main([str(target) if arg == "{}" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("argv", LOADING_COMMANDS)
+    def test_json_nested_too_deeply_to_parse(self, tmp_path, argv, capsys):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        code = main([str(target) if arg == "{}" else arg for arg in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: instance document: ")
+        assert len(err.splitlines()) == 1
+
+    def test_no_traceback_from_the_process(self, tmp_path):
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(
+            {"schema": _GRAPH_SCHEMA, "data": {"G": [[_A, {"a": "b"}]]}}))
+        run = TestQueryTextRejectedByTheAst._run("query", str(target), SAFE)
+        assert run.returncode == EXIT_ERROR
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: data.G[0][1]: ")
